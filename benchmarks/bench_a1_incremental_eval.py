@@ -17,7 +17,7 @@ finding this ablation documents.
 
 import time
 
-from harness import write_json_report, write_report
+from harness import warm_plans, write_json_report, write_report
 
 from repro.analysis import render_table
 from repro.overlog import OverlogRuntime
@@ -35,6 +35,7 @@ reach(X, Z) :- edge(X, Y), reach(Y, Z);
 
 def run_one(naive: bool = False, compile_plans: bool = True):
     rt = OverlogRuntime(PROGRAM, naive=naive, compile_plans=compile_plans)
+    warm_plans(rt)
     start = time.perf_counter()
     for i in range(EDGES):
         rt.insert("edge", (i, i + 1))

@@ -21,7 +21,7 @@ uploads.
 
 import time
 
-from harness import REPORTS_DIR, write_json_report, write_report
+from harness import REPORTS_DIR, warm_plans, write_json_report, write_report
 
 from repro.analysis import render_table
 from repro.metrics.export import hot_rules_json
@@ -87,6 +87,7 @@ def measure_why_latency() -> list[dict]:
 
 def _gate_workload(**kwargs) -> float:
     rt = OverlogRuntime(PROGRAM, **kwargs)
+    warm_plans(rt)
     start = time.perf_counter()
     for i in range(GATE_EDGES):
         rt.insert("edge", (i, i + 1))

@@ -16,7 +16,7 @@ overhead is asserted < 10%.
 import gc
 import time
 
-from harness import write_json_report, write_report
+from harness import warm_plans, write_json_report, write_report
 
 from repro.analysis import render_table
 from repro.boomfs import BoomFSMaster
@@ -53,6 +53,7 @@ def _run_once(backend: str, trace: bool, ops: int = OPS):
             seed=SEED,
             trace=trace,
         )
+        warm_plans(cluster)
         wall_start = time.perf_counter()
         run_driver(cluster, driver)
         wall = time.perf_counter() - wall_start

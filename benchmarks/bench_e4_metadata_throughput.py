@@ -13,7 +13,7 @@ we report two complementary measures:
 
 import time
 
-from harness import write_json_report, write_report
+from harness import warm_plans, write_json_report, write_report
 
 from repro.analysis import render_table
 from repro.boomfs import BoomFSMaster
@@ -84,6 +84,7 @@ def run_one(master_cls, repeats=3, batching=True):
         cluster = Cluster(latency=LatencyModel(1, 1), batching=batching)
         cluster.add(master_cls("master", replication=2))
         gen = cluster.add(MetadataLoadGen("loadgen", "master"))
+        warm_plans(cluster)
         wall_start = time.perf_counter()
         ok = cluster.run_until(lambda: gen.done, max_time_ms=600_000)
         wall = time.perf_counter() - wall_start

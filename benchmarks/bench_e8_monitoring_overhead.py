@@ -15,7 +15,7 @@ compares metaprogrammed tracing against runtime instrumentation.
 import time
 
 from bench_e4_metadata_throughput import TOTAL_OPS, MetadataLoadGen
-from harness import write_json_report, write_report
+from harness import warm_plans, write_json_report, write_report
 
 from repro.analysis import render_table
 from repro.boomfs import BoomFSMaster, master_program
@@ -58,6 +58,7 @@ def run_one(program, with_collector=False, metrics=False, **runtime_kwargs):
     if with_collector:
         collector = TraceCollector()
         collector.attach(rt)
+    warm_plans(rt)
     start = time.perf_counter()
     _workload(rt)
     wall = time.perf_counter() - start
@@ -90,6 +91,7 @@ def _run_telemetry_once(telemetry: bool):
     gen = cluster.add(
         MetadataLoadGen("loadgen", "master", total_ops=TELEM_OPS)
     )
+    warm_plans(cluster)
     wall_start = time.perf_counter()
     ok = cluster.run_until(lambda: gen.done, max_time_ms=600_000)
     wall = time.perf_counter() - wall_start

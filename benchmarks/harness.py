@@ -23,6 +23,20 @@ REPORTS_DIR = Path(__file__).resolve().parent / "reports"
 _T0 = time.perf_counter()
 
 
+def warm_plans(*hosts) -> None:
+    """Lower every plan of the given runtimes (or of every node of the
+    given clusters) to source before a timed region.  Generation is lazy
+    — a plan is compiled the first time it runs — and these benches
+    report the steady-state cost of an op; what set-up costs is the
+    spine's ``setup_s`` (benchmarks/spine)."""
+    for host in hosts:
+        nodes = getattr(host, "processes", None)
+        for node in [host] if nodes is None else nodes.values():
+            runtime = getattr(node, "runtime", node)
+            if hasattr(runtime, "generated_source"):
+                runtime.generated_source()
+
+
 def write_report(name: str, text: str) -> Path:
     REPORTS_DIR.mkdir(exist_ok=True)
     path = REPORTS_DIR / f"{name}.txt"

@@ -59,6 +59,17 @@ _TYPE_CHECKS = {
 }
 
 
+# A row equal to a stored one can differ from it in type only through
+# Python's numeric tower (1 == 1.0 == True), so a no-op insert has
+# nothing left to validate once the values in its numeric columns are of
+# these exact types; anything else takes the full check.
+_EXACT_TYPES = {
+    "Int": (int, type(None)),
+    "Float": (int, float, type(None)),
+    "Bool": (bool, type(None)),
+}
+
+
 @dataclass
 class InsertResult:
     """Outcome of a table insert."""
@@ -108,6 +119,11 @@ class Table:
             if (check := _TYPE_CHECKS.get(tname)) is not None
             and tname != "Any"
         )
+        self._numeric_cols = tuple(
+            (col, _EXACT_TYPES[tname])
+            for col, tname in enumerate(decl.types)
+            if tname in _EXACT_TYPES
+        )
         # Derived columnar state, invalidated by bumping ``_version``:
         # the memoized scan snapshot and per-column projections.
         self._version = 0
@@ -137,6 +153,18 @@ class Table:
 
     def insert(self, row: Row) -> InsertResult:
         """Insert ``row``; a primary-key collision replaces the old row."""
+        # Re-derivations of stored rows are most inserts: ``_intern``
+        # holds exactly the stored rows, so answer those from it.
+        try:
+            stored = self._intern.get(row)
+        except TypeError:
+            stored = None
+        if stored is not None:
+            for col, exact in self._numeric_cols:
+                if type(row[col]) not in exact:
+                    break
+            else:
+                return _NOT_INSERTED
         self._check_row(row)
         row = self._intern.setdefault(row, row)
         key = self._key_of(row)

@@ -6,7 +6,8 @@ chain of ``step.run`` calls, an environment *dict* copied at every
 binding step, probe values re-tupled per environment, and a Python-level
 dispatch per step kind.  This module compiles each plan one level
 further, to actual Python source: one flat ``exec``-generated function
-per (rule × delta position × output shape), where
+per (rule × drive × output shape), following the execution order
+``plan.body_order`` hands in, where
 
 * body atoms become **nested loops and ``if`` guards** — the depth-first
   enumeration order of a nested loop provably equals the breadth-first
@@ -23,12 +24,7 @@ per (rule × delta position × output shape), where
   a single ``Table.lookup_key`` dict get — no index, no loop, no
   candidate list.  This is the NameNode fast path: BOOM-FS metadata
   tables (``fqpath``, ``file``, ``fchunk``) are keyed on their first
-  column, so a request rule's body collapses to a chain of dict lookups;
-* a **delta atom nested under other loops** with equality constraints
-  against outer-bound variables gets its delta rows grouped by those
-  columns once per execution, turning the scan × delta filter loop into
-  a dict probe (buckets preserve delta order, so output order is
-  untouched).
+  column, so a request rule's body collapses to a chain of dict lookups.
 
 Four output shapes are emitted per plan: ``plain`` (head tuples, the
 default hot path), ``tracked`` (head tuples plus the final binding
@@ -41,16 +37,22 @@ name order, which discriminates exactly like the closure tier's
 ``frozenset(env.items())`` because the key set is fixed per step.
 
 Anything the emitter does not recognize raises :class:`Unsupported` and
-the caller (``RulePlans``) silently keeps the closure tier for that plan
-— codegen is an overlay, never a semantic fork.
+the caller (``JoinPlan.generate``) silently keeps the closure tier for
+that plan — codegen is an overlay, never a semantic fork.
+
+What emission produces depends on the rule, the drive and the
+declarations of the tables the body reads — not on the runtime — so it
+is memoized on exactly those (:func:`generate_plan_source`): replicas of
+one program in a process emit and ``compile`` each plan once, and every
+runtime only ``exec``s the code into a namespace of its own tables.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .ast import AggSpec, Assign, Atom, BinOp, Cond, Const, Expr, FuncCall, NotIn, Rule, UnOp, Var
-from .catalog import Catalog
+from .catalog import Catalog, Table
 from .errors import EvaluationError
 from .functions import FunctionLibrary
 
@@ -159,30 +161,24 @@ def _unbound(name: str) -> Any:
 
 
 class _Emitter:
-    """Emits one flat function for one (rule, delta_pos, kind)."""
+    """Emits one flat function for one (rule, body order, kind)."""
 
-    def __init__(
-        self,
-        rule: Rule,
-        delta_pos: Optional[int],
-        catalog: Catalog,
-        functions: FunctionLibrary,
-        ns: dict,
-    ):
+    def __init__(self, rule: Rule, order: list, catalog: Catalog, ns: dict):
         self.rule = rule
-        self.delta_pos = delta_pos
+        self.order = order
         self.catalog = catalog
+        # What the emitted code refers to by name: the helpers below, the
+        # tables it reads and the constants it cannot inline.  ``_call``
+        # (the runtime's FunctionLibrary.call) is bound per runtime.
         self.ns = ns
         self.n = 0
         self.preamble: list[str] = []
         self.body: list[str] = []
         self.notes: list[str] = []
-        if "_call" not in ns:
-            ns["_call"] = functions.call
-            ns["_div"] = _overlog_div
-            ns["_wild"] = _wildcard_value
-            ns["_unbound"] = _unbound
-            ns["_E"] = ()
+        ns["_div"] = _overlog_div
+        ns["_wild"] = _wildcard_value
+        ns["_unbound"] = _unbound
+        ns["_E"] = ()
 
     # -- small helpers ------------------------------------------------------
 
@@ -340,8 +336,8 @@ class _Emitter:
         Shares :func:`atom_needs_dedup`'s proof: when live rows of a
         keyed table are enumerated and the non-wildcard columns cover
         the primary key, duplicates are impossible and the dedup is a
-        skippable no-op.  Delta lists are excluded — a primary-key
-        displacement can put two same-key row versions into one delta.
+        skippable no-op.  Driving lists are excluded — they may hold two
+        same-key row versions.
         """
         return atom_needs_dedup(
             atom,
@@ -356,7 +352,7 @@ class _Emitter:
         materialized = self.catalog.is_materialized(atom.name)
         row = self.tmp("r")
         ban = None
-        if source == "post":
+        if source == "full-minus-delta":
             ban = self.tmp("ban")
             self.preamble.append(
                 f"{ban} = None if exclude is None else exclude.get({atom.name!r})"
@@ -371,48 +367,9 @@ class _Emitter:
         pk = self.pk_cols(atom, probe_cols) if probe else None
 
         if source == "delta":
-            # Scan × delta joins: when the delta atom has equality
-            # constraints against variables bound by enclosing loops (or
-            # constants), group the delta rows by those columns once in
-            # the preamble and probe with a dict get — O(table + delta)
-            # instead of O(table × delta).  Buckets keep delta order, so
-            # for any fixed outer binding the matching rows come out in
-            # exactly the order the plain filter loop would produce.
-            group: list[tuple[int, str]] = []
-            has_bound_var = False
-            for col, arg in enumerate(atom.args):
-                if isinstance(arg, Const):
-                    group.append((col, self.const_expr(arg.value)))
-                elif (
-                    isinstance(arg, Var)
-                    and not arg.is_wildcard
-                    and arg.name in varmap
-                ):
-                    group.append((col, varmap[arg.name]))
-                    has_bound_var = True
-            if has_bound_var:
-                didx = self.tmp("didx")
-                dr = self.tmp("dr")
-                key = ", ".join(f"{dr}[{c}]" for c, _ in group) + ","
-                self.preamble.append(f"{didx} = {{}}")
-                self.preamble.append(f"for {dr} in delta_rows:")
-                self.preamble.append(
-                    f"    if len({dr}) == {len(atom.args)}:"
-                )
-                self.preamble.append(
-                    f"        {didx}.setdefault(({key}), []).append({dr})"
-                )
-                vals = ", ".join(v for _, v in group) + ","
-                cols = ", ".join(str(c) for c, _ in group)
-                self.notes.append(f"{atom.name}: delta grouped [{cols}]")
-                self.w(indent, f"for {row} in {didx}.get(({vals}), _E):")
-                indent += 1
-                probed.update(c for c, _ in group)
-                needs_len = False
-            else:
-                self.notes.append(f"{atom.name}: delta")
-                self.w(indent, f"for {row} in delta_rows:")
-                indent += 1
+            self.notes.append(f"{atom.name}: delta")
+            self.w(indent, f"for {row} in delta_rows:")
+            indent += 1
         elif pk is not None:
             # lookup_key pins only the key columns, but the closure tier's
             # composite index pinned *every* probed column — so the non-key
@@ -565,19 +522,9 @@ class _Emitter:
         self.body = []
         varmap: dict[str, str] = {}
         indent = 1
-        pos = 0
-        for elem in rule.body:
+        for elem, source in self.order:
             if isinstance(elem, Atom):
-                if self.delta_pos is None:
-                    source = "full"
-                elif pos == self.delta_pos:
-                    source = "delta"
-                elif pos > self.delta_pos:
-                    source = "post"
-                else:
-                    source = "full"
                 indent = self.emit_atom(elem, source, indent, varmap)
-                pos += 1
             elif isinstance(elem, NotIn):
                 indent = self.emit_neg(elem.atom, indent, varmap)
             elif isinstance(elem, Assign):
@@ -648,43 +595,94 @@ class _Emitter:
         return "\n".join(lines)
 
 
-def generate_plan_source(
-    rule: Rule,
-    delta_pos: Optional[int],
-    catalog: Catalog,
-    functions: FunctionLibrary,
-    kinds: tuple[str, ...],
-) -> tuple[dict[str, Any], str]:
-    """Compile one (rule, delta position) to flat functions.
+class _Unit(NamedTuple):
+    """A generated plan, minus the runtime it will run in."""
 
-    Returns ``(fns, source)`` where ``fns`` maps each requested kind
-    (``plain`` / ``tracked`` / ``envs``) to an executable function with
-    the ``(ev, delta_rows, exclude)`` signature of ``JoinPlan.execute``.
-    Raises :class:`Unsupported` when the rule shape cannot be emitted.
-    """
+    code: Any
+    source: str
+    names: dict[str, str]  # kind -> function name
+    tables: dict[str, str]  # namespace name -> relation whose Table it is
+    shared: dict[str, Any]  # namespace entries every runtime can share
+
+
+# (rule text, drive, kinds, table declarations) -> _Unit, or None where the
+# emitter declined.  Values hold nothing of any runtime; the memo is
+# emptied when it outgrows _UNIT_LIMIT (a test process generating
+# programs, not a deployment).
+_UNITS: dict[tuple, Optional[_Unit]] = {}
+_UNIT_LIMIT = 8192
+
+
+def _emit_unit(
+    rule: Rule, drive: Any, catalog: Catalog, kinds: tuple[str, ...]
+) -> Optional[_Unit]:
+    from .plan import body_order, drive_tag  # plan imports this module
+
     if _sensitive_sites(rule) > 1:
-        raise Unsupported(
-            "multiple order-sensitive builtin call sites (kept on the "
-            "closure tier to preserve the stateful call sequence)"
-        )
+        # Kept on the closure tier to preserve the stateful call sequence.
+        return None
+    tag = drive_tag(drive)
     ns: dict[str, Any] = {}
-    tag = "full" if delta_pos is None else f"delta@{delta_pos}"
     chunks: list[str] = []
     names: dict[str, str] = {}
-    emitter = _Emitter(rule, delta_pos, catalog, functions, ns)
-    for kind in kinds:
-        fn_name = f"_{rule.name}_{tag.replace('@', '_')}_{kind}"
-        if not fn_name.isidentifier():
-            fn_name = f"_plan_{kind}"
-        emitter.notes = []
-        chunks.append(emitter.emit_function(fn_name, kind))
-        names[kind] = fn_name
+    try:
+        emitter = _Emitter(rule, body_order(rule, drive, catalog), catalog, ns)
+        for kind in kinds:
+            fn_name = f"_{rule.name}_{tag.replace('@', '_')}_{kind}"
+            if not fn_name.isidentifier():
+                fn_name = f"_plan_{kind}"
+            emitter.notes = []
+            chunks.append(emitter.emit_function(fn_name, kind))
+            names[kind] = fn_name
+    except Unsupported:
+        return None
     header = [f"# rule {rule.name} [{tag}] :: {rule}"]
     header += [f"#   {note}" for note in emitter.notes]
     source = "\n".join(header) + "\n" + "\n\n".join(chunks) + "\n"
     try:
         code = compile(source, f"<codegen:{rule.name}:{tag}>", "exec")
-    except SyntaxError as exc:  # pragma: no cover - emitter bug guard
-        raise Unsupported(f"emitted invalid source: {exc}") from exc
-    exec(code, ns)
-    return {kind: ns[names[kind]] for kind in kinds}, source
+    except SyntaxError:  # pragma: no cover - emitter bug guard
+        return None
+    tables = {
+        ref: value.name for ref, value in ns.items() if isinstance(value, Table)
+    }
+    shared = {ref: value for ref, value in ns.items() if ref not in tables}
+    return _Unit(code, source, names, tables, shared)
+
+
+def generate_plan_source(
+    rule: Rule,
+    drive: Any,
+    catalog: Catalog,
+    functions: FunctionLibrary,
+    kinds: tuple[str, ...],
+) -> tuple[dict[str, Any], str]:
+    """Compile one (rule, drive) to flat functions.
+
+    ``drive`` is what the plan's rows range over and fixes the body's
+    execution order (``plan.body_order``).  Returns ``(fns, source)``
+    where ``fns`` maps each requested kind (``plain`` / ``tracked`` /
+    ``envs`` / ``agg``) to an executable function with the ``(ev,
+    delta_rows, exclude)`` signature of ``JoinPlan.execute``.  Raises
+    :class:`Unsupported` when the rule shape cannot be emitted.
+    """
+    read = {atom.name for atom in (*rule.positives, *rule.negatives)}
+    # repr, not the rule: Const(1) == Const(1.0) == Const(True).
+    key = (
+        repr(rule), drive, kinds,
+        tuple(catalog.tables[n].decl for n in sorted(read & catalog.tables.keys())),
+    )
+    if key in _UNITS:
+        unit = _UNITS[key]
+    else:
+        if len(_UNITS) >= _UNIT_LIMIT:
+            _UNITS.clear()
+        unit = _UNITS[key] = _emit_unit(rule, drive, catalog, kinds)
+    if unit is None:
+        raise Unsupported(f"rule {rule.name} stays on the closure tier")
+    ns = dict(unit.shared)
+    ns["_call"] = functions.call
+    for ref, relation in unit.tables.items():
+        ns[ref] = catalog.table(relation)
+    exec(unit.code, ns)
+    return {kind: ns[name] for kind, name in unit.names.items()}, unit.source

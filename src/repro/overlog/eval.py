@@ -39,7 +39,16 @@ from .ast import (
 from .catalog import Catalog, Row
 from .errors import CatalogError, EvaluationError
 from .functions import FunctionLibrary
-from .plan import PlanCache, aggregate as _aggregate, compile_expr
+from .plan import (
+    _SRC_DELTA,
+    _SRC_POST_DELTA,
+    Drive,
+    PlanCache,
+    aggregate as _aggregate,
+    body_order,
+    compile_expr,
+    removal_drives,
+)
 from .strata import compute_strata, rules_by_stratum
 
 # A fixpoint that runs longer than this many semi-naive iterations within a
@@ -244,6 +253,8 @@ class Evaluator:
         # rebuild each positive body atom's matched row from a final body
         # environment.  Keyed by id(rule); cleared on program swap.
         self._body_recipes: dict[int, tuple] = {}
+        # Interpreter tier: (id(rule), drive) -> plan.body_order result.
+        self._orders: dict[tuple, list] = {}
         self._install_rules(rules)
         # Mutable per-step state.
         self._event_pool: dict[str, set[Row]] = {}
@@ -251,14 +262,19 @@ class Evaluator:
         self._seen_sends: set[tuple[Any, str, Row]] = set()
         self._pending_deletes: set[tuple[str, Row]] = set()
         self._seen_deferred: set[tuple[bool, str, Row]] = set()
-        # Incremental cross-step evaluation.  Monotone growth is handled
-        # row-wise: every insertion this step lands in ``_accumulated`` and
-        # is delta-joined into each stratum exactly once.  Non-monotone
-        # changes (deletions, primary-key displacement, out-of-band
-        # installs) cannot be handled by insert deltas — relations they
-        # touch go into ``_full_dirty_pending`` and every rule reading them
-        # is fully re-evaluated on the next step.  Everything starts fully
-        # dirty so bootstrap facts are seen.
+        # Incremental cross-step evaluation: every change to a relation is
+        # a delta.  An insertion lands in ``_accumulated`` and is
+        # delta-joined into each stratum exactly once.  A row that leaves
+        # a table (deletion, primary-key displacement) lands in
+        # ``_removed`` and drives the rules that read the relation under
+        # ``notin`` — only they can gain bindings from a removal; tables
+        # persist, so positive readers have nothing to retract.  Strata
+        # that had already started when the row left see it at the next
+        # step instead: ``_removed_carry`` keeps it, with the stratum it
+        # left in, and becomes ``_removed_prev``.  Full re-evaluation
+        # (``_full_dirty``) is left for what no delta describes: bootstrap
+        # facts (everything starts fully dirty), out-of-band installs and
+        # rule-set swaps.
         self._full_dirty_pending: set[str] = {
             *catalog.tables,
             *catalog.events,
@@ -266,6 +282,11 @@ class Evaluator:
         }
         self._full_dirty: set[str] = set()
         self._accumulated: dict[str, set[Row]] = {}
+        self._removed: dict[str, list[Row]] = {}
+        self._removed_carry: dict[str, list[tuple[int, Row]]] = {}
+        self._removed_prev: dict[str, list[tuple[int, Row]]] = {}
+        # The delta being built by the running ``_apply_staged``.
+        self._pass_delta: dict[str, set[Row]] = {}
         self._active: set[str] = set()
         # Always-on profiling counters (cumulative over the runtime's
         # life): head derivations staged per rule, and semi-naive passes
@@ -279,9 +300,9 @@ class Evaluator:
     def _install_rules(self, rules: tuple[Rule, ...]) -> None:
         """Validate, stratify, and compile a rule set (install time).
 
-        Join plans for every rule × delta-position are compiled here,
-        once, so the per-pass hot path never re-derives index choices or
-        re-walks expression ASTs.
+        Join plans for every rule × drive are compiled here, once, so
+        the per-pass hot path never re-derives index choices or re-walks
+        expression ASTs.
         """
         self._validate(rules)
         strata = compute_strata(rules)
@@ -289,22 +310,30 @@ class Evaluator:
         self.stratum_buckets = rules_by_stratum(rules, strata)
         self.rules = rules
         self._body_recipes.clear()
+        self._orders.clear()
         if self.planner is not None:
             self.planner.invalidate()
             self.planner.compile_program(rules)
         # Per-stratum execution structures, resolved once at install time
         # so the per-pass hot loop touches no rule metadata: the
         # normal/aggregate split (``is_aggregate`` walks the head args),
-        # each rule's compiled plans, and a delta dispatch map — relation
-        # name -> the (rule-index, position, rule, delta-plan) tuples
-        # whose positive atom at ``position`` reads it.  The semi-naive
-        # inner loop consults the map instead of scanning every rule ×
-        # position per iteration; candidates are sorted by (rule-index,
-        # position) at use, reproducing the exact staging order of the
-        # per-rule loop it replaces.
+        # each rule's compiled plans, and two dispatch maps from relation
+        # name to the plans a change to it drives — ``dispatch`` for
+        # inserted rows (one entry per positive atom reading it),
+        # ``neg_readers`` for removed rows (one entry per negated atom).
+        # The semi-naive inner loop consults the maps instead of scanning
+        # every rule × position per iteration; candidates are sorted by
+        # (rule-index, sequence) at use — full plan, then delta
+        # positions, then removal plans — so staging order is rule-major.
         planner = self.planner
         self._stratum_exec: list[dict[str, Any]] = []
-        for bucket in self.stratum_buckets:
+        # relation -> lowest stratum holding a rule that must react when a
+        # row leaves it (an aggregate, or a ``notin`` reader registered in
+        # ``neg_readers``).  Removals from any other relation need no
+        # bookkeeping at all.
+        watch = self._removal_watch = {}
+        tables = self.catalog.tables
+        for index, bucket in enumerate(self.stratum_buckets):
             normal = [r for r in bucket if not r.is_aggregate]
             aggs = [r for r in bucket if r.is_aggregate]
             plans_of = (
@@ -313,9 +342,22 @@ class Evaluator:
                 else {}
             )
             dispatch: dict[str, list] = {}
+            neg_readers: dict[str, list] = {}
             readers: dict[str, list[int]] = {}
             for ridx, rule in enumerate(normal):
                 rp = plans_of.get(id(rule))
+                drivable = removal_drives(rule, self.catalog)
+                for k, atom in enumerate(rule.negatives):
+                    if drivable is None or atom.name not in tables:
+                        continue
+                    watch.setdefault(atom.name, index)
+                    # drive None: removals from this atom's relation
+                    # re-evaluate the rule in full.
+                    neg_readers.setdefault(atom.name, []).append((
+                        ridx, len(rule.positives) + k, rule,
+                        None if rp is None else rp.by_removed.get(k),
+                        ("removed", k) if k in drivable else None,
+                    ))
                 for pos, atom in enumerate(rule.positives):
                     # Predicate-dispatch hint: a constant column in the
                     # delta atom (e.g. the op-type string of request
@@ -335,7 +377,7 @@ class Evaluator:
                     dispatch.setdefault(atom.name, []).append(
                         (ridx, pos, rule,
                          None if rp is None else rp.by_pos[pos],
-                         ccol, cval)
+                         ("delta", pos), ccol, cval)
                     )
                 seen_rels: set[str] = set()
                 for atom in (*rule.positives, *rule.negatives):
@@ -349,6 +391,8 @@ class Evaluator:
             # evaluation is skipped.
             agg_entries = []
             for r in aggs:
+                for atom in (*r.positives, *r.negatives):
+                    watch.setdefault(atom.name, index)
                 hints = []
                 for atom in r.positives:
                     if self.catalog.is_materialized(atom.name):
@@ -370,6 +414,7 @@ class Evaluator:
                 "normal_rules": normal,
                 "agg_rules": aggs,
                 "dispatch": dispatch,
+                "neg_readers": neg_readers,
                 # relation -> rule indexes reading it anywhere (positive
                 # or negated) — the full-dirty fan-out set.
                 "readers": readers,
@@ -503,12 +548,16 @@ class Evaluator:
 
         self._full_dirty = self._full_dirty_pending
         self._full_dirty_pending = set()
-        self._active = set(self._full_dirty)
+        self._removed = {}
+        self._removed_prev = self._removed_carry
+        self._removed_carry = {}
+        self._pass_delta = {}
+        self._active = {*self._full_dirty, *self._removed_prev}
+        self._cur_stratum = -1
         for rel, row in pre_deletes:
             if self.catalog.table(rel).delete(tuple(row)):
                 self._result.deletions.append((rel, tuple(row)))
-                self._full_dirty.add(rel)
-                self._active.add(rel)
+                self._note_removed(rel, tuple(row))
                 if self._ledger is not None:
                     by = deferred_reasons.get((rel, tuple(row)))
                     self._ledger.retract(
@@ -526,11 +575,12 @@ class Evaluator:
                 self._run_stratum(index, bucket)
 
         # Apply deletions derived by delete rules.  The fixpoint has already
-        # run, so rules reading these tables must reconsider next step.
+        # run, so every stratum sees these removals at the next step.
+        self._cur_stratum = len(self.stratum_buckets)
         for rel, row in sorted(self._pending_deletes, key=repr):
             if self.catalog.table(rel).delete(row):
                 self._result.deletions.append((rel, row))
-                self._full_dirty_pending.add(rel)
+                self._note_removed(rel, row)
                 if self._ledger is not None:
                     by = self._delete_rules.get((rel, row))
                     self._ledger.retract(
@@ -554,16 +604,38 @@ class Evaluator:
                 return True
         return False
 
-    def _rule_needs_full_eval(self, rule: Rule) -> bool:
-        """A rule must be fully re-evaluated when a relation it reads
-        changed non-monotonically (insert deltas can't express removals)."""
-        for atom in rule.positives:
-            if atom.name in self._full_dirty:
-                return True
-        for atom in rule.negatives:
-            if atom.name in self._full_dirty:
-                return True
-        return False
+    def _note_removed(self, rel: str, row: Row) -> None:
+        """A stored row just left ``rel``: deleted, or displaced by a row
+        with its primary key."""
+        inserted = self._accumulated.get(rel)
+        fresh = inserted is not None and row in inserted
+        if fresh:
+            # Inserted earlier in this same step: it is no insert delta
+            # any more, and no stratum still to run ever saw it.
+            inserted.discard(row)
+            current = self._pass_delta.get(rel)
+            if current is not None:
+                current.discard(row)
+                if not current:
+                    del self._pass_delta[rel]
+        watch = self._removal_watch.get(rel)
+        if watch is None:
+            return
+        self._active.add(rel)
+        if not fresh:
+            self._removed.setdefault(rel, []).append(row)
+        if self._cur_stratum >= watch:
+            self._removed_carry.setdefault(rel, []).append(
+                (self._cur_stratum, row)
+            )
+
+    def _removed_rows(self, rel: str, index: int) -> list[Row]:
+        """Rows that left ``rel`` since stratum ``index`` last ran: this
+        step's so far, and last step's from when that stratum had already
+        started."""
+        rows = [r for at, r in self._removed_prev.get(rel, ()) if at >= index]
+        rows.extend(self._removed.get(rel, ()))
+        return list(dict.fromkeys(rows))
 
     def _insert_local(self, rel: str, row: Row) -> bool:
         """Insert a tuple locally; returns True when it is new."""
@@ -574,11 +646,7 @@ class Evaluator:
                 self._active.add(rel)
                 self._add_accumulated(rel, row)
                 if res.displaced is not None:
-                    # A primary-key update removed a row: negation readers
-                    # in earlier strata (or earlier steps) may now derive —
-                    # only a full re-evaluation can find those bindings.
-                    self._full_dirty.add(rel)
-                    self._full_dirty_pending.add(rel)
+                    self._note_removed(rel, res.displaced)
                     if self._ledger is not None:
                         self._ledger.retract(
                             rel,
@@ -630,9 +698,11 @@ class Evaluator:
         has been evaluated, then form the next iteration's delta.  The
         delta pass uses the textbook semi-naive split (delta at position i,
         full view before i, pre-delta view after i) so a binding involving
-        several new tuples still fires exactly once.  This matters because
-        builtins like ``f_uid()`` are nondeterministic: re-firing the same
-        binding would mint spurious fresh identifiers.
+        several new tuples still fires exactly once, and a binding that a
+        removed row was blocking fires once through that row's removal
+        plan.  This matters because builtins like ``f_uid()`` are
+        nondeterministic: re-firing the same binding would mint spurious
+        fresh identifiers.
         """
         info = self._stratum_exec[index]
         if self.naive:
@@ -643,10 +713,11 @@ class Evaluator:
 
         self._cur_stratum = index
         self._cur_pass = 0
-        # Idle-stratum early exit: ``_active`` is a superset of both the
-        # full-dirty set and the accumulated-delta relations, so a stratum
-        # reading none of it can derive nothing — skip the snapshot,
-        # candidate build, and empty dispatch (most strata, most steps).
+        # Idle-stratum early exit: ``_active`` is a superset of the
+        # full-dirty set, the accumulated-delta relations and the watched
+        # relations that lost rows, so a stratum reading none of it can
+        # derive nothing — skip the snapshot, candidate build, and empty
+        # dispatch (most strata, most steps).
         if self._active.isdisjoint(info["read_rels"]):
             self._record_iterations(index, 1)
             return
@@ -697,14 +768,14 @@ class Evaluator:
             if items:
                 staged.append((rule, items))
 
-        # Iteration 0: rules touching a non-monotonically changed relation
-        # are fully re-evaluated; everything else is delta-joined against
-        # the rows that accumulated this step (inbox plus lower strata),
-        # which is what makes steady-state operations O(delta) rather than
-        # O(database).  The snapshot is taken here because the stratum's
-        # own loop keeps growing ``_accumulated``.  Each relation's delta
-        # is materialized as a list once and shared by every rule in the
-        # pass.
+        # Iteration 0: the stratum catches up with everything that changed
+        # since it last ran.  Inserted rows (inbox plus lower strata) are
+        # delta-joined per reading position and removed rows drive the
+        # rules that negate their relation, which is what makes
+        # steady-state operations O(change) rather than O(database); only
+        # rules reading a fully dirty relation are re-evaluated in full.
+        # The snapshot is taken here because the stratum's own loop keeps
+        # growing ``_accumulated``.
         # Only relations this stratum actually reads matter: the exclude
         # view is consulted solely for body atoms, all in ``read_rels``.
         # The live sets are referenced *without copying*: plan executions
@@ -718,11 +789,6 @@ class Evaluator:
         }
         normal = info["normal"]
         dispatch = info["dispatch"]
-        # Rules reading a non-monotonically changed relation run a full
-        # evaluation (entered at pseudo-position -1); everything else is
-        # delta-joined per reading position.  One merged (rule-index,
-        # position) sort reproduces the rule-major staging order of the
-        # all-rules loop this replaces.
         need_full: set[int] = set()
         if self._full_dirty:
             readers = info["readers"]
@@ -730,55 +796,16 @@ class Evaluator:
                 ridxs = readers.get(rel)
                 if ridxs:
                     need_full.update(ridxs)
-        candidates: list[tuple] = []
+        candidates = self._removal_candidates(
+            info["neg_readers"], index, need_full
+        )
         for ridx in need_full:
             rule, rp = normal[ridx]
             candidates.append(
-                (ridx, -1, rule, None if rp is None else rp.full, ())
+                (ridx, -1, rule, None if rp is None else rp.full, None, ())
             )
-        for rel, rows in acc.items():
-            entries = dispatch.get(rel)
-            if entries:
-                rows_list = list(rows)
-                buckets: dict[int, dict] = {}
-                for ridx, pos, rule, plan, ccol, cval in entries:
-                    if ridx in need_full:
-                        continue
-                    if fast and ccol is not None:
-                        # Predicate dispatch: hand the rule only the
-                        # delta rows matching its constant column, and
-                        # skip the call entirely when there are none.
-                        b = buckets.get(ccol)
-                        if b is None:
-                            b = buckets[ccol] = {}
-                            for r in rows_list:
-                                if len(r) > ccol:
-                                    b.setdefault(r[ccol], []).append(r)
-                        sub = b.get(cval)
-                        if not sub:
-                            continue
-                        candidates.append((ridx, pos, rule, plan, sub))
-                    else:
-                        candidates.append((ridx, pos, rule, plan, rows_list))
-        # Plain tuple sort: (rule-index, position) pairs are unique, so
-        # comparison never reaches the Rule element.
-        candidates.sort()
-        for _ridx, pos, rule, plan, rows_list in candidates:
-            excl = None if pos < 0 else acc
-            if fast:
-                fn = plan.src_execute
-                if fn is not None:
-                    items = fn(self, rows_list, excl)
-                else:
-                    items = plan.execute(self, rows_list, excl)
-            elif pos < 0:
-                items = self._derive(
-                    rule, delta_pos=None, delta_rows=(), plan=plan
-                )
-            else:
-                items = self._derive(rule, pos, rows_list, exclude=acc, plan=plan)
-            if items:
-                staged.append((rule, items))
+        candidates += self._delta_candidates(dispatch, acc, fast, need_full)
+        staged += self._run_candidates(candidates, acc, fast)
 
         delta = self._apply_staged(staged)
         iterations = 0
@@ -789,55 +816,116 @@ class Evaluator:
                     "fixpoint did not converge (primary-key oscillation?)"
                 )
             self._cur_pass = iterations
-            staged = []
             # Only (rule, pos) pairs whose atom's relation actually has a
-            # delta run this pass; sorting restores the per-rule staging
-            # order the dispatch map flattened away.
-            candidates: list[tuple] = []
-            for rel, rows in delta.items():
-                entries = dispatch.get(rel)
-                if entries:
-                    rows_list = list(rows)
-                    buckets = {}
-                    for ridx, pos, rule, plan, ccol, cval in entries:
-                        if fast and ccol is not None:
-                            b = buckets.get(ccol)
-                            if b is None:
-                                b = buckets[ccol] = {}
-                                for r in rows_list:
-                                    if len(r) > ccol:
-                                        b.setdefault(r[ccol], []).append(r)
-                            sub = b.get(cval)
-                            if not sub:
-                                continue
-                            candidates.append((ridx, pos, rule, plan, sub))
-                        else:
-                            candidates.append(
-                                (ridx, pos, rule, plan, rows_list)
-                            )
-            candidates.sort()
-            for _ridx, pos, rule, plan, rows_list in candidates:
-                if fast:
-                    fn = plan.src_execute
-                    if fn is not None:
-                        items = fn(self, rows_list, delta)
-                    else:
-                        items = plan.execute(self, rows_list, delta)
-                else:
-                    items = self._derive(
-                        rule, pos, rows_list, exclude=delta, plan=plan
-                    )
-                if items:
-                    staged.append((rule, items))
-            delta = self._apply_staged(staged)
+            # delta run this pass.
+            delta = self._apply_staged(
+                self._run_candidates(
+                    self._delta_candidates(dispatch, delta, fast),
+                    delta, fast,
+                )
+            )
         self._record_iterations(index, iterations + 1)
+
+    def _removal_candidates(
+        self, neg_readers: dict[str, list], index: int, need_full: set[int]
+    ) -> list[tuple]:
+        """One candidate per rule whose negated relation lost rows since
+        stratum ``index`` last ran — or, where no removal plan can answer,
+        the rule's index added to ``need_full``."""
+        if not self._removed and not self._removed_prev:
+            return []
+        hits: dict[int, list] = {}
+        for rel, entries in neg_readers.items():
+            rows_list = self._removed_rows(rel, index)
+            if rows_list:
+                for entry in entries:
+                    hits.setdefault(entry[0], []).append((*entry, rows_list))
+        candidates = []
+        for ridx, hit in hits.items():
+            if ridx in need_full:
+                continue
+            # Two negated atoms hit at once would each fire a binding
+            # both were blocking; like a ``notin`` no removed row can
+            # drive (drive None), that takes the full evaluation.
+            if len(hit) > 1 or hit[0][4] is None:
+                need_full.add(ridx)
+            else:
+                candidates.append(hit[0])
+        return candidates
+
+    def _delta_candidates(
+        self,
+        dispatch: dict[str, list],
+        delta: dict[str, set[Row]],
+        fast: bool,
+        skip: Iterable[int] = (),
+    ) -> list[tuple]:
+        """One ``(rule-index, sequence, rule, plan, drive, rows)`` entry
+        per positive atom reading a relation with inserted rows.  Each
+        relation's delta is materialized as a list once and shared by
+        every rule in the pass."""
+        candidates: list[tuple] = []
+        for rel, rows in delta.items():
+            entries = dispatch.get(rel)
+            if not entries or not rows:
+                continue
+            rows_list = list(rows)
+            buckets: dict[int, dict] = {}
+            for ridx, pos, rule, plan, drive, ccol, cval in entries:
+                if ridx in skip:
+                    continue
+                if fast and ccol is not None:
+                    # Predicate dispatch: hand the rule only the delta
+                    # rows matching its constant column, and skip the
+                    # call entirely when there are none.
+                    b = buckets.get(ccol)
+                    if b is None:
+                        b = buckets[ccol] = {}
+                        for r in rows_list:
+                            if len(r) > ccol:
+                                b.setdefault(r[ccol], []).append(r)
+                    sub = b.get(cval)
+                    if not sub:
+                        continue
+                    candidates.append((ridx, pos, rule, plan, drive, sub))
+                else:
+                    candidates.append(
+                        (ridx, pos, rule, plan, drive, rows_list)
+                    )
+        return candidates
+
+    def _run_candidates(
+        self,
+        candidates: list[tuple],
+        exclude: dict[str, set[Row]],
+        fast: bool,
+    ) -> list[tuple[Rule, list]]:
+        """Execute one pass's plans against a consistent snapshot and
+        return their derivations batched per rule, in rule-major order
+        (plain tuple sort: (rule-index, sequence) pairs are unique, so
+        comparison never reaches the Rule element)."""
+        candidates.sort()
+        staged: list[tuple[Rule, list]] = []
+        for _ridx, _seq, rule, plan, drive, rows_list in candidates:
+            excl = None if drive is None else exclude
+            if fast:
+                fn = plan.src_execute
+                if fn is not None:
+                    items = fn(self, rows_list, excl)
+                else:
+                    items = plan.execute(self, rows_list, excl)
+            else:
+                items = self._derive(rule, drive, rows_list, excl, plan)
+            if items:
+                staged.append((rule, items))
+        return staged
 
     # -- plan/interpreter dispatch ------------------------------------------
 
     def _derive(
         self,
         rule: Rule,
-        delta_pos: Optional[int],
+        drive: Drive,
         delta_rows: list[Row],
         exclude: Optional[dict[str, set[Row]]] = None,
         plan: Any = None,
@@ -846,19 +934,11 @@ class Evaluator:
         plan when available, otherwise the AST-walking reference path.
 
         ``plan`` is the pre-resolved JoinPlan from the stratum's install-
-        time execution structures; when omitted (external callers) it is
-        looked up from the plan cache.  Items are ``(rel, row)``, or
-        ``(rel, row, body_tuples)`` when the provenance ledger is
-        attached (tracked execution).
+        time execution structures (None on the interpreter tier).  Items
+        are ``(rel, row)``, or ``(rel, row, body_tuples)`` when the
+        provenance ledger is attached (tracked execution).
         """
-        planner = self.planner
-        if planner is not None:
-            if plan is None:
-                plans = planner.plans_for(rule)
-                plan = (
-                    plans.full if delta_pos is None
-                    else plans.by_pos[delta_pos]
-                )
+        if plan is not None:
             tracked = self._ledger is not None
             prof = self._profiler
             if prof is not None:
@@ -885,7 +965,7 @@ class Evaluator:
             if src is not None:
                 return src(self, delta_rows, exclude)
             return plan.execute(self, delta_rows, exclude)
-        return self._eval_rule(rule, delta_pos, delta_rows, exclude)
+        return self._eval_rule(rule, drive, delta_rows, exclude)
 
     def _derive_aggregate(self, rule: Rule, plan: Any = None) -> list[tuple]:
         planner = self.planner
@@ -923,7 +1003,7 @@ class Evaluator:
                 if items:
                     staged.append((rule, items))
             for rule in normal_rules:
-                items = self._eval_rule(rule, delta_pos=None, delta_rows=())
+                items = self._eval_rule(rule, None, ())
                 if items:
                     staged.append((rule, items))
             if not self._apply_staged(staged):
@@ -937,6 +1017,7 @@ class Evaluator:
         genuinely-new local insertions, which become the next semi-naive
         delta."""
         delta: dict[str, set[Row]] = defaultdict(set)
+        self._pass_delta = delta
         fires = self.rule_fires
         dispatch = self._dispatch_head
         if self._ledger is not None:
@@ -966,7 +1047,6 @@ class Evaluator:
             sends = self._result.sends
             if catalog.is_materialized(rel):
                 insert = catalog.table(rel).insert
-                dset = None
                 for _rel, row in items:
                     if loc is not None:
                         dest = row[loc]
@@ -982,11 +1062,8 @@ class Evaluator:
                         self._active.add(rel)
                         self._add_accumulated(rel, row)
                         if res.displaced is not None:
-                            self._full_dirty.add(rel)
-                            self._full_dirty_pending.add(rel)
-                        if dset is None:
-                            dset = delta[rel]
-                        dset.add(row)
+                            self._note_removed(rel, res.displaced)
+                        delta[rel].add(row)
             else:
                 pools = self._event_pool
                 pool = pools.get(rel)
@@ -1188,18 +1265,18 @@ class Evaluator:
     def _eval_rule(
         self,
         rule: Rule,
-        delta_pos: Optional[int],
+        drive: Drive,
         delta_rows: Iterable[Row],
         exclude: Optional[dict[str, set[Row]]] = None,
     ) -> list[tuple[str, Row]]:
         """Evaluate a non-aggregate rule body; returns derived head tuples.
 
-        When ``delta_pos`` is given, the positive atom at that index ranges
-        only over ``delta_rows``; positive atoms *after* it exclude the
-        current delta (``exclude``), completing the exactly-once
-        semi-naive split.
+        Under a ``drive`` the driving atom ranges only over
+        ``delta_rows`` and the atoms :func:`plan.body_order` gives the
+        full-minus-delta view skip the rows in ``exclude``, completing
+        the exactly-once semi-naive split.
         """
-        envs = self._body_envs(rule, delta_pos, delta_rows, exclude)
+        envs = self._body_envs(rule, drive, delta_rows, exclude)
         # ``_body_envs`` already deduplicates identical environments at
         # every atom step, and the later body elements (assignments,
         # conditions, negation) preserve distinctness — so the
@@ -1222,19 +1299,24 @@ class Evaluator:
     def _body_envs(
         self,
         rule: Rule,
-        delta_pos: Optional[int],
+        drive: Drive,
         delta_rows: Iterable[Row],
         exclude: Optional[dict[str, set[Row]]] = None,
     ) -> list[Env]:
+        order = self._orders.get((id(rule), drive))
+        if order is None:
+            order = self._orders[(id(rule), drive)] = body_order(
+                rule, drive, self.catalog
+            )
         envs: list[Env] = [{}]
-        pos = 0
-        for elem in rule.body:
+        for elem, view in order:
             if not envs:
                 return []
             if isinstance(elem, Atom):
                 rows: Optional[list[Row]] = None
                 index_plan: Optional[tuple[int, Any]] = None
-                if pos == delta_pos:
+                banned = None
+                if view == _SRC_DELTA:
                     # Callers pass an already-materialized list (shared
                     # across every rule in the pass); avoid re-copying it
                     # here, on the hottest call path.
@@ -1243,17 +1325,9 @@ class Evaluator:
                         if isinstance(delta_rows, list)
                         else list(delta_rows)
                     )
-                elif (
-                    delta_pos is not None
-                    and pos > delta_pos
-                    and exclude
-                    and elem.name in exclude
-                ):
-                    banned = exclude[elem.name]
-                    rows = [
-                        r for r in self._rows(elem.name) if r not in banned
-                    ]
                 else:
+                    if view == _SRC_POST_DELTA and exclude:
+                        banned = exclude.get(elem.name)
                     # Bound-column join: if some argument is a constant or
                     # an already-bound variable, probe the table's hash
                     # index instead of scanning.  The bound-variable set is
@@ -1284,6 +1358,8 @@ class Evaluator:
                     else:
                         candidate_rows = rows
                     for row in candidate_rows:
+                        if banned and row in banned:
+                            continue
                         matched = match_atom(elem, row, env, self.functions)
                         if matched is not None:
                             signature = frozenset(matched.items())
@@ -1291,7 +1367,6 @@ class Evaluator:
                                 seen.add(signature)
                                 new_envs.append(matched)
                 envs = new_envs
-                pos += 1
             elif isinstance(elem, NotIn):
                 neg_plan = self._index_plan(elem.atom, envs)
                 neg_table = (
@@ -1363,7 +1438,7 @@ class Evaluator:
     # -- aggregation ---------------------------------------------------------
 
     def _eval_aggregate_rule(self, rule: Rule) -> list[tuple[str, Row]]:
-        envs = self._body_envs(rule, delta_pos=None, delta_rows=())
+        envs = self._body_envs(rule, None, ())
         head = rule.head
         group_positions = [
             i for i, a in enumerate(head.args) if not isinstance(a, AggSpec)

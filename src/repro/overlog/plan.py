@@ -10,14 +10,20 @@ rule text, so this module resolves them **once, at program-install time**:
 * ``compile_expr`` turns an expression AST into a Python closure
   ``env -> value`` with the same semantics (including Overlog's integer
   division and short-circuit ``&&``/``||``).
-* ``JoinPlan`` is the compiled form of one rule body for one semi-naive
-  delta position: an ordered sequence of steps (delta scan, composite
-  index probe, table scan, negation check, assignment, condition) with
-  the bound-variable sets and index column choices frozen in.
-* ``PlanCache`` owns every plan for a rule set — one ``JoinPlan`` per
-  rule × delta-position plus a full-evaluation plan and, for aggregate
-  rules, an ``AggregatePlan`` — and is invalidated wholesale when rules
-  are added or swapped.
+* ``body_order`` fixes, for one rule and one *drive* (what changed: rows
+  inserted into a positive atom's relation, rows removed from a negated
+  atom's), the order the body runs in and the view each atom reads; the
+  interpreter, the closure steps below and the source emitter all
+  iterate it.
+* ``JoinPlan`` is the compiled form of one rule body for one drive: an
+  ordered sequence of steps (delta scan, composite index probe, table
+  scan, negation check, assignment, condition) with the bound-variable
+  sets and index column choices frozen in.
+* ``PlanCache`` owns every plan for a rule set — a full-evaluation plan,
+  one ``JoinPlan`` per positive atom (``delta@i``) and per drivable
+  negated atom (``removed@k``) and, for aggregate rules, an
+  ``AggregatePlan`` — and is invalidated wholesale when rules are added
+  or swapped.
 
 Plans probe composite (multi-column) hash indexes: where the interpreter
 probed only the *first* bound column, a plan probes **all** bound columns
@@ -61,9 +67,11 @@ from .ast import (
     Rule,
     UnOp,
     Var,
+    atom_vars,
+    expr_vars,
 )
 from .catalog import Catalog, Row, Table
-from .codegen import atom_needs_dedup
+from .codegen import Unsupported, atom_needs_dedup, generate_plan_source
 from .errors import EvaluationError
 from .functions import FunctionLibrary
 
@@ -278,10 +286,196 @@ def _probe_spec(
 
 
 # How an atom step sources its candidate rows relative to the plan's
-# semi-naive delta position.
+# driving rows.
 _SRC_NORMAL = "full"        # full relation (probe or scan)
-_SRC_DELTA = "delta"        # ranges over the pass's delta rows
+_SRC_DELTA = "delta"        # ranges over the plan's driving rows
 _SRC_POST_DELTA = "full-minus-delta"  # full relation minus the delta
+
+
+# ---------------------------------------------------------------------------
+# Body ordering (shared by the interpreter, closure and source tiers)
+# ---------------------------------------------------------------------------
+
+# What a plan's driving rows are: ``None`` for the full evaluation,
+# ``("delta", i)`` for rows inserted into the i-th positive atom's
+# relation, ``("removed", k)`` for rows that left the relation of the
+# k-th negated atom.
+Drive = Optional[tuple[str, int]]
+
+
+def drive_tag(drive: Drive) -> str:
+    return "full" if drive is None else f"{drive[0]}@{drive[1]}"
+
+
+def _reorderable(rule: Rule) -> bool:
+    """Whether running the body's atoms out of textual order keeps its
+    meaning.  Two shapes pin the textual order: an atom argument that is
+    computed (it needs its variables bound first), and a variable read
+    by a ``notin``, condition or assignment *before* anything binds it —
+    existential inside the ``notin``, an error elsewhere — that a later
+    element binds, which a reordering could turn into a bound read."""
+    bound: set[str] = set()
+    loose: set[str] = set()
+    for elem in rule.body:
+        if isinstance(elem, Atom):
+            if not all(isinstance(a, (Var, Const)) for a in elem.args):
+                return False
+            names = atom_vars(elem)
+        elif isinstance(elem, Assign):
+            loose |= expr_vars(elem.expr) - bound
+            names = {elem.var.name}
+        else:
+            read = (
+                atom_vars(elem.atom) if isinstance(elem, NotIn)
+                else expr_vars(elem.expr)
+            )
+            loose |= read - bound
+            continue
+        if names & loose:
+            return False
+        bound |= names
+    return True
+
+
+def removal_drives(
+    rule: Rule, catalog: Catalog
+) -> Optional[tuple[int, ...]]:
+    """How the rule reacts when rows leave a relation it negates.
+
+    ``None``: not at all.  Every binding of a rule with an event atom
+    holds a row of the current step, so the insert deltas find it, and
+    an aggregate is recomputed by the evaluator whenever a body relation
+    is active.  Otherwise the negated atoms (as indexes into
+    ``rule.negatives``) whose removed rows can *drive* the rule: every
+    argument is a constant, a wildcard or a variable bound earlier in
+    the body, so a removed row names exactly the bindings it was
+    blocking.  Removals from any other ``notin`` re-evaluate the rule in
+    full."""
+    if rule.is_aggregate or not all(
+        catalog.is_materialized(a.name) for a in rule.positives
+    ):
+        return None
+    if not _reorderable(rule):
+        return ()
+    out: list[int] = []
+    bound: set[str] = set()
+    k = 0
+    for elem in rule.body:
+        if isinstance(elem, Atom):
+            bound |= atom_vars(elem)
+        elif isinstance(elem, Assign):
+            bound.add(elem.var.name)
+        elif isinstance(elem, NotIn):
+            if catalog.is_materialized(elem.atom.name) and all(
+                isinstance(a, Const)
+                or (isinstance(a, Var) and (a.is_wildcard or a.name in bound))
+                for a in elem.atom.args
+            ):
+                out.append(k)
+            k += 1
+    return tuple(out)
+
+
+def body_order(
+    rule: Rule, drive: Drive, catalog: Catalog
+) -> list[tuple[Any, Optional[str]]]:
+    """The execution order of a rule body for one drive, as ``(element,
+    view)`` pairs; ``view`` is the row source of an atom and ``None``
+    for every other element.
+
+    The full plan keeps textual order.  A driven plan starts at its
+    driving atom and then picks the remaining atoms greedily: event
+    atoms first (this step's pool is the smallest relation there is),
+    then atoms whose primary key is bound, then most bound columns, ties
+    textual.  What does not move:
+
+    * every atom keeps the semi-naive view of its *textual* position —
+      full before the delta atom, full-minus-delta after it — so each
+      new combination of rows is still derived by exactly one plan;
+    * conditions, assignments and ``notin`` run in textual order, each
+      as soon as every atom written before it has run, so a guard never
+      sees a binding it was not written to see;
+    * an atom waits for an earlier assignment that binds one of its
+      variables, so assignments keep binding rather than checking.
+
+    A ``removed@k`` plan is driven by the negated atom itself, emitted
+    as a plain atom over the removed rows; every positive atom reads
+    full-minus-delta (bindings using a row inserted this step belong to
+    the insert deltas) and the ``notin`` still runs at its place, since
+    another row may block and a removed row may have been re-inserted.
+    """
+    body = rule.body
+    if drive is None:
+        return [
+            (e, _SRC_NORMAL if isinstance(e, Atom) else None) for e in body
+        ]
+    kind, at = drive
+    views: list[Optional[str]] = []
+    pos = 0
+    for elem in body:
+        if not isinstance(elem, Atom):
+            views.append(None)
+            continue
+        if kind == "removed" or pos > at:
+            views.append(_SRC_POST_DELTA)
+        elif pos == at:
+            views.append(_SRC_DELTA)
+        else:
+            views.append(_SRC_NORMAL)
+        pos += 1
+    if kind == "delta" and not _reorderable(rule):
+        return list(zip(body, views))
+
+    order: list[tuple[Any, Optional[str]]] = []
+    bound: set[str] = set()
+    pending = set(range(len(body)))
+    if kind == "delta":
+        first = views.index(_SRC_DELTA)
+        order.append((body[first], _SRC_DELTA))
+        pending.discard(first)
+        bound |= atom_vars(body[first])
+    else:
+        driver = rule.negatives[at]
+        order.append((driver, _SRC_DELTA))
+        bound |= atom_vars(driver)
+    def rank(idx: int) -> tuple:
+        atom = body[idx]
+        cols = {
+            col
+            for col, a in enumerate(atom.args)
+            if isinstance(a, Const) or (not a.is_wildcard and a.name in bound)
+        }
+        table = catalog.tables.get(atom.name)
+        if table is None:
+            return (0, 0, idx)
+        keys = table.decl.keys or range(table.decl.arity)
+        return (1 if cols.issuperset(keys) else 2, -len(cols), idx)
+
+    while pending:
+        # Everything that is not an atom and has no unrun atom before it.
+        for idx in sorted(pending):
+            elem = body[idx]
+            if isinstance(elem, Atom):
+                break
+            order.append((elem, None))
+            pending.discard(idx)
+            if isinstance(elem, Assign):
+                bound.add(elem.var.name)
+        # The first unrun atom waits for nothing, so one is always ready.
+        waiting: set[str] = set()
+        ready: list[int] = []
+        for idx in sorted(pending):
+            elem = body[idx]
+            if isinstance(elem, Assign):
+                waiting.add(elem.var.name)
+            elif isinstance(elem, Atom) and not atom_vars(elem) & waiting:
+                ready.append(idx)
+        if ready:
+            idx = min(ready, key=rank)
+            order.append((body[idx], views[idx]))
+            pending.discard(idx)
+            bound |= atom_vars(body[idx])
+    return order
 
 
 class _AtomStep:
@@ -521,44 +715,72 @@ class _CondStep:
 
 
 class JoinPlan:
-    """The compiled body of one rule for one semi-naive delta position
-    (``delta_pos=None`` is the full-evaluation plan), plus the compiled
-    head projection for non-aggregate rules.
+    """The compiled body of one rule for one drive (``None`` is the
+    full-evaluation plan, see :data:`Drive`), plus the compiled head
+    projection for non-aggregate rules.
 
     Under the source-codegen tier (``compile_mode="source"``, see
     :mod:`repro.overlog.codegen`) the plan additionally carries flat
     ``exec``-generated functions — ``src_execute`` / ``src_execute_tracked``
-    / ``src_envs`` — that produce bit-identical output to ``execute`` /
-    ``execute_tracked`` / ``body_envs`` without the step pipeline.  They
-    are ``None`` on the closure tier or when the emitter declined the
-    rule shape; callers must fall back to the step path then.
+    / ``src_envs`` / ``src_pairs`` — that produce bit-identical output to
+    ``execute`` / ``execute_tracked`` / ``body_envs`` without the step
+    pipeline.  They are generated on the plan's first execution (most
+    rule x drive pairs of a program never run) and stay ``None`` on the
+    closure tier or when the emitter declined the rule shape; callers
+    fall back to the step path then, which is also what triggers the
+    generation.
     """
 
     __slots__ = (
-        "rule", "delta_pos", "steps", "head_name", "head_fns", "_prof",
-        "src_execute", "src_execute_tracked", "src_envs", "source",
+        "rule", "drive", "tag", "steps", "head_name", "head_fns", "_prof",
+        "src_execute", "src_execute_tracked", "src_envs", "src_pairs",
+        "source", "unsupported", "_codegen",
     )
 
     def __init__(
         self,
         rule: Rule,
-        delta_pos: Optional[int],
+        drive: Drive,
         steps: tuple,
         head_fns: Optional[tuple[ExprFn, ...]],
     ):
         self.rule = rule
-        self.delta_pos = delta_pos
+        self.drive = drive
+        self.tag = drive_tag(drive)
         self.steps = steps
         self.head_name = rule.head.name
         self.head_fns = head_fns
         # Profiler stat slot, lazily filled by PlanProfiler.should_sample
         # so the sampling decision is one attribute load per execution.
         self._prof = None
-        # Source-codegen overlay (filled by RulePlans on the source tier).
+        # Source-codegen overlay: ``_codegen`` holds what generate() needs
+        # until it has run (None on the closure tier and afterwards).
         self.src_execute = None
         self.src_execute_tracked = None
         self.src_envs = None
+        self.src_pairs = None
         self.source: Optional[str] = None
+        self.unsupported = False
+        self._codegen: Optional[tuple] = None
+
+    def generate(self) -> None:
+        """Lower the plan to generated source now, if that is still due."""
+        pending = self._codegen
+        if pending is None:
+            return
+        self._codegen = None
+        catalog, functions, kinds = pending
+        try:
+            fns, self.source = generate_plan_source(
+                self.rule, self.drive, catalog, functions, kinds
+            )
+        except Unsupported:
+            self.unsupported = True
+            return
+        self.src_execute = fns.get("plain")
+        self.src_execute_tracked = fns.get("tracked")
+        self.src_envs = fns.get("envs")
+        self.src_pairs = fns.get("agg")
 
     def body_envs(
         self,
@@ -581,6 +803,10 @@ class JoinPlan:
     ) -> list[tuple[str, Row]]:
         """Derive head tuples.  Environments reaching the head are
         pairwise distinct (see module docstring), so no re-dedup."""
+        if self._codegen is not None:
+            self.generate()
+            if self.src_execute is not None:
+                return self.src_execute(ev, delta_rows, exclude)
         envs = self.body_envs(ev, delta_rows, exclude)
         if not envs:
             return []
@@ -601,6 +827,10 @@ class JoinPlan:
         The evaluator reconstructs witness body tuples from the env only
         for derivations it records (environments are immutable once a
         step emits them, so the references stay valid)."""
+        if self._codegen is not None:
+            self.generate()
+            if self.src_execute_tracked is not None:
+                return self.src_execute_tracked(ev, delta_rows, exclude)
         envs = self.body_envs(ev, delta_rows, exclude)
         if not envs:
             return []
@@ -612,8 +842,7 @@ class JoinPlan:
 
     def explain(self) -> str:
         """Human-readable plan: one line per step, in execution order."""
-        tag = "full" if self.delta_pos is None else f"delta@{self.delta_pos}"
-        lines = [f"[{tag}]"]
+        lines = [f"[{self.tag}]"]
         lines += [f"  {i}. {s.describe()}" for i, s in enumerate(self.steps)]
         return "\n".join(lines)
 
@@ -623,20 +852,16 @@ class AggregatePlan:
 
     __slots__ = (
         "rule", "body", "head_name", "group_fns", "agg_specs", "arity",
-        "_prof", "src_pairs",
+        "_prof",
     )
 
-    # Profiler tag (JoinPlans use their delta_pos instead).
-    delta_pos = "agg"
+    # Profiler tag (JoinPlans carry their drive's tag instead).
+    tag = "agg"
 
     def __init__(self, rule: Rule, body: JoinPlan, functions: FunctionLibrary):
         self.rule = rule
         self.body = body
         self._prof = None
-        # Source-tier overlay: a generated function yielding one
-        # (group-key, agg-values) pair per distinct binding, replacing
-        # the env materialization + per-env closure extraction below.
-        self.src_pairs = None
         head = rule.head
         self.head_name = head.name
         self.arity = len(head.args)
@@ -665,7 +890,13 @@ class AggregatePlan:
         groups: dict[Row, list] = {}
         specs = self.agg_specs
         single = len(specs) == 1
-        pairs_fn = self.src_pairs
+        body = self.body
+        if body._codegen is not None:
+            body.generate()
+        # Source-tier overlay: a generated function yielding one
+        # (group-key, agg-values) pair per distinct binding, replacing
+        # the env materialization + per-env closure extraction below.
+        pairs_fn = body.src_pairs
         if pairs_fn is not None:
             for key, values in pairs_fn(ev, (), None):
                 bucket = groups.get(key)
@@ -674,11 +905,11 @@ class AggregatePlan:
                 else:
                     bucket.append(values)
         else:
-            envs_fn = self.body.src_envs
+            envs_fn = body.src_envs
             if envs_fn is not None:
                 envs = envs_fn(ev, (), None)
             else:
-                envs = self.body.body_envs(ev, (), None)
+                envs = body.body_envs(ev, (), None)
             group_fns = self.group_fns
             if single:
                 _, _, vfn = specs[0]
@@ -734,6 +965,8 @@ class AggregatePlan:
         """Like :meth:`execute`; each aggregate output carries the tuple
         of contributing body environments (one per distinct binding in
         the group), from which the evaluator reconstructs witnesses."""
+        if self.body._codegen is not None:
+            self.body.generate()
         envs_fn = self.body.src_envs
         if envs_fn is not None:
             envs = envs_fn(ev, (), None)
@@ -828,34 +1061,27 @@ def aggregate(func: str, values: list[Any]) -> Any:
 
 def _compile_body(
     rule: Rule,
-    delta_pos: Optional[int],
+    drive: Drive,
     catalog: Catalog,
     functions: FunctionLibrary,
 ) -> tuple:
     steps: list = []
     bound: set[str] = set()
-    pos = 0
-    for elem in rule.body:
+    for elem, source in body_order(rule, drive, catalog):
         if isinstance(elem, Atom):
             frozen = frozenset(bound)
-            materialized = catalog.is_materialized(elem.name)
             table = catalog.tables.get(elem.name)
-            if delta_pos is not None and pos == delta_pos:
-                source = _SRC_DELTA
-            elif delta_pos is not None and pos > delta_pos:
-                source = _SRC_POST_DELTA
-            else:
-                source = _SRC_NORMAL
-            if materialized and source != _SRC_DELTA:
+            if table is not None and source != _SRC_DELTA:
                 probe_cols, probe_fns = _probe_spec(elem, frozen, functions)
             else:
                 probe_cols, probe_fns = (), ()
             match = _compile_matcher(elem, frozen, probe_cols, functions)
             # Dedup only where duplicates are possible (see
             # codegen.atom_needs_dedup): wildcard columns, minus the
-            # keyed-table case where the key is fully visible.  Delta
-            # steps always keep it — a primary-key displacement can put
-            # two same-key row versions into one delta list.
+            # keyed-table case where the key is fully visible.  Driving
+            # steps always keep it — removed rows (and, for rules whose
+            # body cannot be reordered, a nested delta) may hold two
+            # same-key row versions.
             needs_dedup = atom_needs_dedup(
                 elem, None if source == _SRC_DELTA else table
             )
@@ -868,7 +1094,6 @@ def _compile_body(
             for arg in elem.args:
                 if isinstance(arg, Var) and not arg.is_wildcard:
                     bound.add(arg.name)
-            pos += 1
         elif isinstance(elem, NotIn):
             frozen = frozenset(bound)
             atom = elem.atom
@@ -897,35 +1122,35 @@ def _compile_body(
 
 def compile_rule(
     rule: Rule,
-    delta_pos: Optional[int],
+    drive: Drive,
     catalog: Catalog,
     functions: FunctionLibrary,
 ) -> JoinPlan:
-    """Compile one rule body for one delta position into a JoinPlan."""
-    steps = _compile_body(rule, delta_pos, catalog, functions)
+    """Compile one rule body for one drive into a JoinPlan."""
+    steps = _compile_body(rule, drive, catalog, functions)
     if rule.is_aggregate:
         head_fns = None  # projection handled by AggregatePlan
     else:
         head_fns = tuple(
             compile_expr(a, functions) for a in rule.head.args
         )
-    return JoinPlan(rule, delta_pos, steps, head_fns)
+    return JoinPlan(rule, drive, steps, head_fns)
 
 
 class RulePlans:
     """Every compiled plan for one rule: the full-evaluation plan, one
-    delta plan per positive body atom, and the aggregate wrapper when the
-    head aggregates.
+    delta plan per positive body atom, one removal plan per negated atom
+    that can drive the rule (:func:`removal_drives`), and the aggregate
+    wrapper when the head aggregates.
 
-    With ``mode="source"`` each plan is additionally compiled to flat
-    Python source (:mod:`repro.overlog.codegen`); the generated text is
-    kept in ``sources`` (tag -> source) for inspection (``\\src`` in the
-    REPL) and the executable functions land on the plans.  Emission
-    failures fall back to the closure step path plan-by-plan and are
-    counted in ``codegen_errors``.
+    With ``mode="source"`` each plan is additionally lowered to flat
+    Python source (:mod:`repro.overlog.codegen`) the first time it runs;
+    ``sources`` (tag -> text, what ``\\src`` in the REPL prints) and
+    ``codegen_errors`` force the generation of every plan.  Emission
+    failures fall back to the closure step path plan-by-plan.
     """
 
-    __slots__ = ("rule", "full", "by_pos", "agg", "sources", "codegen_errors")
+    __slots__ = ("rule", "full", "by_pos", "by_removed", "agg")
 
     def __init__(
         self,
@@ -935,9 +1160,8 @@ class RulePlans:
         mode: str = "closure",
     ):
         self.rule = rule
-        self.sources: dict[str, str] = {}
-        self.codegen_errors = 0
         self.full = compile_rule(rule, None, catalog, functions)
+        self.by_removed: dict[int, JoinPlan] = {}
         if rule.is_aggregate:
             # Aggregates are evaluated once per stratum over the full
             # body (they read only lower strata), never delta-joined.
@@ -945,46 +1169,42 @@ class RulePlans:
             self.agg: Optional[AggregatePlan] = AggregatePlan(
                 rule, self.full, functions
             )
-            if mode == "source":
-                self._attach_source(
-                    self.full, catalog, functions, ("envs", "agg")
-                )
+            kinds = ("envs", "agg")
         else:
             self.by_pos = tuple(
-                compile_rule(rule, pos, catalog, functions)
+                compile_rule(rule, ("delta", pos), catalog, functions)
                 for pos in range(len(rule.positives))
             )
+            self.by_removed = {
+                k: compile_rule(rule, ("removed", k), catalog, functions)
+                for k in removal_drives(rule, catalog) or ()
+            }
             self.agg = None
-            if mode == "source":
-                kinds = ("plain", "tracked")
-                self._attach_source(self.full, catalog, functions, kinds)
-                for plan in self.by_pos:
-                    self._attach_source(plan, catalog, functions, kinds)
+            kinds = ("plain", "tracked")
+        if mode == "source":
+            for plan in self.plans:
+                plan._codegen = (catalog, functions, kinds)
 
-    def _attach_source(
-        self,
-        plan: JoinPlan,
-        catalog: Catalog,
-        functions: FunctionLibrary,
-        kinds: tuple[str, ...],
-    ) -> None:
-        from .codegen import Unsupported, generate_plan_source
+    @property
+    def plans(self) -> list[JoinPlan]:
+        return [self.full, *self.by_pos, *self.by_removed.values()]
 
-        try:
-            fns, source = generate_plan_source(
-                plan.rule, plan.delta_pos, catalog, functions, kinds
-            )
-        except Unsupported:
-            self.codegen_errors += 1
-            return
-        plan.source = source
-        tag = "full" if plan.delta_pos is None else f"delta@{plan.delta_pos}"
-        self.sources[tag] = source
-        plan.src_execute = fns.get("plain")
-        plan.src_execute_tracked = fns.get("tracked")
-        plan.src_envs = fns.get("envs")
-        if self.agg is not None:
-            self.agg.src_pairs = fns.get("agg")
+    @property
+    def sources(self) -> dict[str, str]:
+        out = {}
+        for plan in self.plans:
+            plan.generate()
+            if plan.source is not None:
+                out[plan.tag] = plan.source
+        return out
+
+    @property
+    def codegen_errors(self) -> int:
+        errors = 0
+        for plan in self.plans:
+            plan.generate()
+            errors += plan.unsupported
+        return errors
 
     def explain(self, fires: Optional[int] = None) -> str:
         lines = [str(self.rule)]
@@ -997,8 +1217,7 @@ class RulePlans:
         if self.agg is not None:
             lines.append(self.agg.explain())
         else:
-            lines.append(self.full.explain())
-            lines += [p.explain() for p in self.by_pos]
+            lines += [p.explain() for p in self.plans]
         return "\n".join(lines)
 
 
@@ -1013,7 +1232,9 @@ class PlanCache:
     ``mode`` selects the execution tier the cache compiles for:
     ``"closure"`` (step pipeline only) or ``"source"`` (step pipeline
     plus exec-generated flat functions, the default evaluator tier —
-    see :mod:`repro.overlog.codegen`).
+    see :mod:`repro.overlog.codegen`).  Source is generated per plan on
+    its first execution; ``generated``, ``codegen_errors`` and
+    ``render_source`` generate whatever is still outstanding.
 
     Invalidation flushes *everything* keyed by the outgoing rule set:
     the plans, the cached generated source, and — when a profiler is
@@ -1034,13 +1255,10 @@ class PlanCache:
         self._by_rule: dict[int, RulePlans] = {}
         self._rules: tuple[Rule, ...] = ()
         self.compile_count = 0
-        self.codegen_errors = 0
-        # (rule name, plan tag) -> generated source text, for \src.
-        self.generated: dict[tuple[str, str], str] = {}
         self.profiler = None
 
     def compile_program(self, rules: tuple[Rule, ...]) -> None:
-        """Compile every rule × delta-position up front."""
+        """Compile every rule × drive up front."""
         self._rules = rules  # keeps ids stable while plans are cached
         self._by_rule = {
             id(rule): self._compile_one(rule) for rule in rules
@@ -1048,18 +1266,26 @@ class PlanCache:
         self.compile_count += 1
 
     def _compile_one(self, rule: Rule) -> RulePlans:
-        rp = RulePlans(rule, self.catalog, self.functions, mode=self.mode)
-        self.codegen_errors += rp.codegen_errors
-        for tag, source in rp.sources.items():
-            self.generated[(rule.name, tag)] = source
-        return rp
+        return RulePlans(rule, self.catalog, self.functions, mode=self.mode)
 
     def invalidate(self) -> None:
         self._by_rule = {}
         self._rules = ()
-        self.generated = {}
         if self.profiler is not None:
             self.profiler.invalidate()
+
+    @property
+    def generated(self) -> dict[tuple[str, str], str]:
+        """(rule name, plan tag) -> generated source text, for \\src."""
+        return {
+            (rp.rule.name, tag): source
+            for rp in self._by_rule.values()
+            for tag, source in rp.sources.items()
+        }
+
+    @property
+    def codegen_errors(self) -> int:
+        return sum(rp.codegen_errors for rp in self._by_rule.values())
 
     @property
     def plans(self) -> list[RulePlans]:
@@ -1084,9 +1310,10 @@ class PlanCache:
         for rp in self._by_rule.values():
             if rule_name is not None and rp.rule.name != rule_name:
                 continue
-            for source in rp.sources.values():
+            sources = rp.sources
+            for source in sources.values():
                 parts.append(source.rstrip("\n"))
-            if not rp.sources and (rule_name is not None or rp.codegen_errors):
+            if not sources and (rule_name is not None or rp.codegen_errors):
                 parts.append(
                     f"# rule {rp.rule.name}: no generated source "
                     f"(closure-tier fallback)"

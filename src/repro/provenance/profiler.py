@@ -56,14 +56,6 @@ class _PlanStat:
         return ss
 
 
-def _tag(delta_pos: Any) -> str:
-    if delta_pos is None:
-        return "full"
-    if delta_pos == "agg":
-        return "agg"
-    return f"delta@{delta_pos}"
-
-
 class PlanProfiler:
     """Decides which plan executions to time, and accumulates results.
 
@@ -101,7 +93,7 @@ class PlanProfiler:
         flushes them through :meth:`invalidate` (via
         ``PlanCache.invalidate``) so a new program never inherits
         same-named rules' timings."""
-        key = (plan.rule.name, _tag(plan.delta_pos))
+        key = (plan.rule.name, plan.tag)
         stat = self._stats.get(key)
         if stat is None:
             stat = _PlanStat(*key)

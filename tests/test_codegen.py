@@ -3,7 +3,7 @@
 The differential suite (tests/test_plan_equivalence.py) proves the
 generated functions *behave* identically to the closure tier; these
 tests pin down what the emitter actually generates — access-path choice
-(pk-get / probe / scan), delta pre-grouping, negation and aggregate
+(pk-get / probe / scan), delta-first loop order, negation and aggregate
 shapes — plus the cache-invalidation and catalog regressions that ride
 along with the tier:
 
@@ -67,12 +67,16 @@ class TestGeneratedSource:
         assert "pk-get [0]" in src
         assert "lookup_key" in src
 
-    def test_delta_pregrouping_on_bound_join(self):
+    def test_delta_plan_starts_at_the_delta_atom(self):
         rt = make_runtime(JOIN_SRC)
         src = rt.generated_source("j1")
-        # Scanning edge while probing the delta on the bound column must
-        # bucket the delta rows once in the function preamble.
-        assert "delta grouped" in src
+        # delta@1 is driven by the second edge atom: its loop over the
+        # delta rows is outermost and the first atom becomes an index
+        # probe on the column the delta bound, never a scan x delta.
+        d1 = src[src.index("[delta@1]"):]
+        header = d1[:d1.index("def ")]
+        assert header.index("edge: delta") < header.index("edge: probe [1]")
+        assert "scan" not in header
 
     def test_negation_compiles_to_membership_check(self):
         rt = make_runtime(NEG_SRC)
@@ -102,6 +106,55 @@ class TestGeneratedSource:
             rt.insert("edge", row)
         rt.tick()
         assert sorted(rt.rows("path2")) == [(1, 3), (2, 4)]
+
+
+class TestLazyGeneration:
+    """Source is generated when a plan first runs, emitted and compiled
+    once per process for the same rule over the same tables, and forced
+    by everything that shows it."""
+
+    def _plans(self, rt):
+        (rule,) = rt.rules
+        return rt.evaluator.planner.plans_for(rule)
+
+    def test_install_generates_nothing_and_first_run_generates_one_plan(self):
+        rt = make_runtime(PK_SRC)
+        plans = self._plans(rt)
+        assert all(p.source is None for p in plans.plans)
+        rt.tick()  # bootstrap: the full plan runs
+        rt.insert("req", (1, "/a"))
+        rt.tick()  # delta@0 (req) runs; delta@1 (fq) never has
+        full, d0, d1 = plans.plans
+        assert full.src_execute is not None and d0.src_execute is not None
+        assert d1.source is None and d1.src_execute is None
+
+    def test_showing_the_source_generates_the_rest(self):
+        rt = make_runtime(PK_SRC)
+        assert "delta@1" in rt.generated_source("p1")
+        assert all(p.src_execute is not None for p in self._plans(rt).plans)
+        assert rt.evaluator.planner.codegen_errors == 0
+
+    def test_replicas_of_one_program_share_code_objects(self):
+        a, b = make_runtime(JOIN_SRC), make_runtime(JOIN_SRC)
+        for rt in (a, b):
+            rt.insert("edge", (1, 2))
+            rt.tick()
+        fa = self._plans(a).full.src_execute
+        fb = self._plans(b).full.src_execute
+        assert fa is not fb and fa.__code__ is fb.__code__
+        # ... each bound to its own runtime's tables.
+        b.insert("edge", (2, 3))
+        b.tick()
+        assert a.rows("path2") == [] and b.rows("path2") == [(1, 3)]
+
+    def test_same_rule_text_over_another_schema_is_generated_afresh(self):
+        # Same rule, but fq is keyed differently: the pk-get of the one
+        # program would be wrong for the other.
+        keyed = make_runtime(PK_SRC)
+        unkeyed = make_runtime(PK_SRC.replace("keys(0)", "keys()"))
+        assert "pk-get [0]" in keyed.generated_source("p1")
+        assert "pk-get" not in unkeyed.generated_source("p1")
+        assert "fq: probe [0]" in unkeyed.generated_source("p1")
 
 
 class TestInvalidateFlushes:

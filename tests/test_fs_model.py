@@ -4,13 +4,13 @@ Hypothesis drives random operation sequences against both the declarative
 filesystem (full cluster: Overlog NameNode, DataNodes, client) and a
 trivially-correct dict model; every response — success, failure code, and
 payload — must match.  This is the strongest correctness statement in the
-suite: 56 Overlog rules behave exactly like the obvious imperative
-specification under arbitrary workloads.
+suite: the NameNode's Overlog rules behave exactly like the obvious
+imperative specification under arbitrary workloads.
 """
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode, FSError
 from repro.sim import Cluster, LatencyModel
@@ -118,7 +118,7 @@ class BoomFSMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.cluster = Cluster(latency=LatencyModel(1, 1))
-        self.cluster.add(BoomFSMaster("master", replication=2))
+        self.master = self.cluster.add(BoomFSMaster("master", replication=2))
         for i in range(2):
             self.cluster.add(
                 DataNode(f"dn{i}", masters=["master"], heartbeat_ms=300)
@@ -126,6 +126,20 @@ class BoomFSMachine(RuleBasedStateMachine):
         self.fs = self.cluster.add(BoomFSClient("client", masters=["master"]))
         self.cluster.run_for(700)
         self.model = FSModel()
+
+    @invariant()
+    def namenode_tables_match_the_model(self):
+        """The namespace the NameNode holds is the model's, row for row:
+        no path, file or chunk of a removed or renamed subtree is left
+        behind (rules rs1-r4 and ms1-m3 walk the subtree by parent id)."""
+        master = self.master
+        if master is None:
+            return
+        paths = master.paths()
+        assert set(paths) == self.model.dirs | set(self.model.files)
+        fids = {row[0] for row in master.files()}
+        assert fids == set(paths.values())
+        assert {fid for _c, fid, _i in master.runtime.rows("fchunk")} <= fids
 
     def _path(self, segments):
         return "/" + "/".join(segments)
@@ -147,6 +161,20 @@ class BoomFSMachine(RuleBasedStateMachine):
         path = self._path(segments)
         code, _ = self._attempt(lambda: self.fs.write(path, data))
         assert code == self.model.write(path, data), f"write {path}"
+
+    @rule(top=st.sampled_from(NAMES), data=PAYLOADS)
+    def grow_tree(self, top, data):
+        """``/top/a/b`` with a chunk-holding file at every level, so that
+        a later rm or mv of ``/top`` walks nested directories and has
+        chunks to drop."""
+        path = ""
+        for segment in (top, "a", "b"):
+            path += "/" + segment
+            code, _ = self._attempt(lambda: self.fs.mkdir(path))
+            assert code == self.model.mkdir(path), f"mkdir {path}"
+            leaf = path + "/c"
+            code, _ = self._attempt(lambda: self.fs.write(leaf, data))
+            assert code == self.model.write(leaf, data), f"write {leaf}"
 
     @rule(segments=SEGMENTS)
     def read(self, segments):
@@ -202,6 +230,37 @@ class BoomFSMachine(RuleBasedStateMachine):
         assert code == self.model.mv(old_p, new_p), f"mv {old_p} {new_p}"
 
 
+def test_rm_and_mv_of_nested_directories_with_chunks():
+    """The subtree walk, step by step: mv re-derives every path under the
+    moved directory, rm drops every file, path and chunk under it."""
+    machine = BoomFSMachine()
+    fs, master, model = machine.fs, machine.master, machine.model
+    for d in ("/a", "/a/b", "/a/b/c", "/keep"):
+        fs.mkdir(d)
+        model.mkdir(d)
+    for f in ("/a/x", "/a/b/y", "/a/b/c/z", "/keep/w"):
+        fs.write(f, f.encode() * 40)
+        model.write(f, f.encode() * 40)
+    machine.namenode_tables_match_the_model()
+    chunks = len(master.runtime.rows("fchunk"))
+    assert chunks >= 4
+
+    fs.mv("/a/b", "/keep/b2")
+    assert model.mv("/a/b", "/keep/b2") is None
+    machine.namenode_tables_match_the_model()
+    assert fs.read("/keep/b2/c/z") == b"/a/b/c/z" * 40
+    assert len(master.runtime.rows("fchunk")) == chunks
+
+    fs.rm("/keep")
+    assert model.rm("/keep") is None
+    machine.namenode_tables_match_the_model()
+    assert set(master.paths()) == {"/", "/a", "/a/x"}
+    assert len(master.runtime.rows("fchunk")) == len(master.chunks_of(
+        master.paths()["/a/x"]
+    ))
+    machine.teardown()
+
+
 TestBoomFSAgainstModel = BoomFSMachine.TestCase
 TestBoomFSAgainstModel.settings = settings(
     max_examples=20, stateful_step_count=10, deadline=None
@@ -216,6 +275,7 @@ class BaselineFSMachine(BoomFSMachine):
         RuleBasedStateMachine.__init__(self)
         from repro.hadoop import BaselineNameNode
 
+        self.master = None  # no Overlog tables to hold against the model
         self.cluster = Cluster(latency=LatencyModel(1, 1))
         self.cluster.add(BaselineNameNode("master", replication=2))
         for i in range(2):

@@ -582,6 +582,25 @@ class TestValidation:
         with pytest.raises(CatalogError):
             rt.tick()
 
+    def test_type_check_survives_the_stored_row_fast_path(self):
+        # (1.0,) and (True,) equal the stored (1,) and hash like it, so
+        # the no-op insert path finds them "already stored" — they must
+        # be rejected all the same, and a genuine no-op stays a no-op.
+        rt = make("define(a, keys(), {Int}); define(f, keys(), {Float});")
+        table = rt.catalog.table("a")
+        assert table.insert((1,)).inserted
+        for impostor in ((1.0,), (True,)):
+            with pytest.raises(CatalogError):
+                table.insert(impostor)
+        assert not table.insert((1,)).inserted
+        assert table.rows_list() == [(1,)]
+        # A Float column takes ints and floats alike: same row, no change.
+        floats = rt.catalog.table("f")
+        assert floats.insert((1,)).inserted
+        assert not floats.insert((1.0,)).inserted
+        with pytest.raises(CatalogError):
+            floats.insert((True,))
+
     def test_cannot_derive_timer(self):
         with pytest.raises(CatalogError):
             make(

@@ -56,16 +56,19 @@ def test_delta_plans_shift_sources():
     rt = OverlogRuntime(JOIN_PROGRAM)
     plans = plans_for(rt, "r1")
     d0, d1 = plans.by_pos
-    # delta@0: a is the delta (never probed), b sits after it at full view.
+    # delta@0: a is the delta (never probed) ...
     assert d0.steps[0].source == _SRC_DELTA
     assert d0.steps[0].probe_cols == ()
     # ... b sits after the delta, so it reads the full view minus the
     # delta (semi-naive exclusion) — still through the composite probe.
     assert d0.steps[1].source == _SRC_POST_DELTA
     assert d0.steps[1].probe_cols == (0, 2)
-    # delta@1: a is *before* the delta and reads the plain full view.
-    assert d1.steps[0].source == _SRC_NORMAL
-    assert d1.steps[1].source == _SRC_DELTA
+    # delta@1 also *starts* at its delta atom, b; a is written before
+    # the delta, so it keeps the plain full view of its textual position
+    # and is now probed on the columns b bound instead of scanned.
+    assert d1.steps[0].name == "b" and d1.steps[0].source == _SRC_DELTA
+    assert d1.steps[1].name == "a" and d1.steps[1].source == _SRC_NORMAL
+    assert d1.steps[1].probe_cols == (0, 1)
     assert "[delta@0]" in d0.explain()
 
 
@@ -216,3 +219,94 @@ def test_post_delta_exclusion_still_applies_with_probe():
     interp.insert_many("u", [(1, 2), (2, 3)])
     interp.tick()
     assert dict(interp.evaluator.rule_fires) == fires
+
+
+# -- body ordering -------------------------------------------------------------
+
+ORDER_PROGRAM = """
+program order;
+define(big, keys(0), {Int, Int});
+define(cfg, keys(0), {Int, Int});
+define(link, keys(0, 1), {Int, Int});
+define(block, keys(), {Int});
+define(out, keys(), {Int, Int});
+event(req, 2);
+o1 out(A, V) :- big(A, B), cfg(B, C), link(C, D), req(D, _), V := A + D;
+o2 out(A, K) :- big(A, B), K := B + 1, cfg(K, _), link(A, _);
+o3 out(A, 0) :- big(A, B), link(B + 1, A);
+o4 out(A, 1) :- big(A, _), notin block(Z), link(A, Z);
+"""
+
+
+def steps_of(plan):
+    return [s.describe().split(" ->")[0] for s in plan.steps]
+
+
+def test_driven_plans_pick_events_then_bound_keys_then_most_bound():
+    rt = OverlogRuntime(ORDER_PROGRAM)
+    plans = plans_for(rt, "o1")
+    # The full plan is the body as written.
+    assert [s.name for s in plans.full.steps[:4]] == [
+        "big", "cfg", "link", "req"
+    ]
+    # delta@2 starts at link(C, D); of the rest, the event atom goes
+    # first, then cfg (no key bound, one column) beats big (none), which
+    # cfg then binds the join column of.
+    assert steps_of(plans.by_pos[2]) == [
+        "delta(link)",
+        "scan-events req \\ delta",
+        "probe cfg[col1=C]",
+        "probe big[col1=B]",
+        "assign V",
+    ]
+    # Every atom kept the view of where it was *written*: big and cfg
+    # before the delta atom (full), req after it (full minus delta).
+    views = {s.name: s.source for s in plans.by_pos[2].steps[:4]}
+    assert views == {
+        "link": _SRC_DELTA, "req": _SRC_POST_DELTA,
+        "cfg": _SRC_NORMAL, "big": _SRC_NORMAL,
+    }
+
+
+def test_atom_waits_for_the_assignment_that_binds_its_variable():
+    rt = OverlogRuntime(ORDER_PROGRAM)
+    d2 = plans_for(rt, "o2").by_pos[2]  # driven by link(A, _)
+    # cfg(K, _) would have its key bound only once K := B + 1 has run,
+    # and that needs big: so big, the assignment, then the pk-bound cfg.
+    assert steps_of(d2) == [
+        "delta(link)", "probe big[col0=A]", "assign K", "probe cfg[col0=K]"
+    ]
+
+
+@pytest.mark.parametrize("name", ["o3", "o4"])
+def test_bodies_that_pin_textual_order(name):
+    # o3 has a computed atom argument; o4 reads Z under notin before
+    # link binds it (existential there).  Neither may be reordered, and
+    # no removed row may drive o4.
+    rt = OverlogRuntime(ORDER_PROGRAM)
+    plans = plans_for(rt, name)
+    written = [s.name for s in plans.full.steps]
+    for plan in plans.by_pos:
+        assert [s.name for s in plan.steps] == written
+    assert plans.by_removed == {}
+
+
+@pytest.mark.parametrize("mode", ["source", "closure", "interpreter"])
+def test_reordered_and_pinned_bodies_agree_with_naive_evaluation(mode):
+    def run(**kwargs):
+        rt = OverlogRuntime(ORDER_PROGRAM, **kwargs)
+        batches = [
+            [("big", (1, 2)), ("big", (2, 3)), ("cfg", (2, 5)),
+             ("cfg", (3, 7)), ("link", (5, 9)), ("link", (3, 1)),
+             ("block", (4,))],
+            [("req", (9, 0)), ("link", (1, 4)), ("link", (7, 9))],
+            [("big", (3, 1)), ("link", (2, 3)), ("req", (9, 1))],
+            [("cfg", (2, 7)), ("link", (3, 4)), ("req", (9, 2))],
+        ]
+        for batch in batches:
+            for rel, row in batch:
+                rt.insert(rel, row)
+            rt.tick()
+        return sorted(rt.rows("out"))
+
+    assert run(compile_mode=mode) == run(naive=True)

@@ -24,9 +24,14 @@ evaluation by design: it re-derives everything every round).
 
 Programs are generated in layers so stratification always succeeds, and
 use only deterministic builtins with modular arithmetic so every fixpoint
-is finite and order-independent (generated tables use whole-row keys, so
-primary-key displacement — which is insertion-order sensitive — cannot
-occur).
+is finite and order-independent.  Rule heads use whole-row keys, so the
+insertion-order-sensitive kind of primary-key displacement cannot occur;
+the one keyed table, ``k0``, is written by the workload only, at most one
+row per key per step, which displaces rows without any order to be
+sensitive to.  Every other seed also negates a relation that a selective
+delete rule empties a little at a time, so rows leave relations read
+under ``notin`` (deletion and displacement) in a guaranteed share of the
+programs and the removal-driven plans run in all five variants.
 """
 
 import random
@@ -41,6 +46,7 @@ from repro.overlog.ast import (
     Cond,
     Const,
     EventDecl,
+    NotIn,
     Program,
     Rule,
     TableDecl,
@@ -67,6 +73,8 @@ class ProgramGenerator:
         self.sources: list[tuple[str, int]] = []
         self._var_counter = 0
         self._rule_counter = 0
+        # The relation negate_deleted picked to negate and delete from.
+        self.shrinking = None
 
     # -- naming -------------------------------------------------------------
 
@@ -87,6 +95,9 @@ class ProgramGenerator:
             arity = self.rng.randint(2, 3)
             self.decls.append(TableDecl(f"t{i}", (), ("Int",) * arity))
             self.sources.append((f"t{i}", arity))
+        # The keyed table: only the workload writes it (see workload()).
+        self.decls.append(TableDecl("k0", (0,), ("Int", "Int")))
+        self.sources.append(("k0", 2))
         self.decls.append(EventDecl("e0", 2))
         self.sources.append(("e0", 2))
         # Address book for @-located heads.
@@ -95,14 +106,14 @@ class ProgramGenerator:
     # -- body construction --------------------------------------------------
 
     def make_body(
-        self, min_atoms: int = 1, max_atoms: int = 2
+        self, min_atoms: int = 1, max_atoms: int = 2, sources=None
     ) -> tuple[list, list[Var]]:
         """A random join chain; returns (body elements, bound variables)."""
         rng = self.rng
         body: list = []
         bound: list[Var] = []
         for _ in range(rng.randint(min_atoms, max_atoms)):
-            name, arity = rng.choice(self.sources)
+            name, arity = rng.choice(sources or self.sources)
             args = []
             for _col in range(arity):
                 roll = rng.random()
@@ -198,24 +209,30 @@ class ProgramGenerator:
         )
         self.sources.append((name, 2))
 
-    def add_negation_rule(self, index: int) -> None:
+    def add_negation_rule(self, index: int, negate=None) -> None:
+        """``negate`` names the relation to read under ``notin``; the rule
+        then joins stored relations only (an event atom would make it
+        deaf to removals) and negates on a bound first column, which is
+        what a selective delete of ``negate`` unblocks."""
         name = f"d{index}"
-        body, bound = self.make_body()
+        body, bound = self.make_body(
+            sources=negate and [s for s in self.sources if s[0] != "e0"]
+        )
         if not bound:
             self.add_join_rule(index)
             return
-        neg_name, neg_arity = self.rng.choice(self.sources)
+        neg_name, neg_arity = negate or self.rng.choice(self.sources)
         neg_args = []
-        for _ in range(neg_arity):
+        for col in range(neg_arity):
             roll = self.rng.random()
+            if negate:
+                roll = 0.0 if col == 0 else 0.6
             if roll < 0.5:
                 neg_args.append(self.rng.choice(bound))
             elif roll < 0.75:
                 neg_args.append(Var("_"))
             else:
                 neg_args.append(Const(self.rng.randrange(INT_MOD)))
-        from repro.overlog.ast import NotIn
-
         body.append(NotIn(Atom(neg_name, tuple(neg_args))))
         arity = self.rng.randint(1, 2)
         self.decls.append(TableDecl(name, (), ("Int",) * arity))
@@ -250,8 +267,6 @@ class ProgramGenerator:
         self.sources.append((name, 2))
 
     def add_deferred_rule(self, index: int) -> None:
-        from repro.overlog.ast import NotIn
-
         name = f"d{index}"
         body, bound = self.make_body()
         arity = self.rng.randint(1, 2)
@@ -273,15 +288,18 @@ class ProgramGenerator:
         )
         self.sources.append((name, arity))
 
-    def add_delete_rule(self) -> None:
+    def stored_bases(self) -> list[tuple[str, int]]:
+        return [s for s in self.sources if s[0][0] in "tk"]
+
+    def add_delete_rule(self, target=None) -> None:
         """Delete from a base table, keyed off the event (bodies touch only
         base relations so the dependency graph stays acyclic-through-
-        negation)."""
-        target, arity = self.rng.choice(
-            [s for s in self.sources if s[0].startswith("t")]
-        )
+        negation).  A given ``target`` loses only the rows whose first
+        column the event names, so it shrinks over several steps."""
+        selective = target is not None
+        target, arity = target or self.rng.choice(self.stored_bases())
         vars_ = tuple(self.fresh_var() for _ in range(arity))
-        ex, ey = self.fresh_var(), self.fresh_var()
+        ex, ey = vars_[0] if selective else self.fresh_var(), self.fresh_var()
         self.rules.append(
             Rule(
                 self.rule_name("del"),
@@ -310,13 +328,18 @@ class ProgramGenerator:
 
     # -- top level ----------------------------------------------------------
 
-    def generate(self) -> Program:
+    def generate(self, negate_deleted: bool = False) -> Program:
         self.base_relations()
         kinds = ["join", "recursive", "negation", "aggregate", "deferred"]
         n_derived = self.rng.randint(3, 5)
         for i in range(n_derived):
             kind = self.rng.choice(kinds)
             getattr(self, f"add_{kind}_rule")(i)
+        if negate_deleted:
+            # A relation read under ``notin`` that also loses rows.
+            self.shrinking = self.rng.choice(self.stored_bases())
+            self.add_negation_rule(n_derived, negate=self.shrinking)
+            self.add_delete_rule(target=self.shrinking)
         if self.rng.random() < 0.6:
             self.add_delete_rule()
         if self.rng.random() < 0.6:
@@ -333,6 +356,7 @@ class ProgramGenerator:
             if name.startswith("t")
             for _ in range(rng.randint(3, 7))
         ]
+        first.extend(self.keyed_rows(at_least=2))
         first.append(("addr", (LOCAL,)))
         first.append(("addr", (REMOTE,)))
         batches.append(first)
@@ -348,8 +372,26 @@ class ProgramGenerator:
                 batch.append(
                     (name, tuple(rng.randrange(INT_MOD) for _ in range(arity)))
                 )
+            batch.extend(self.keyed_rows())
+            if self.shrinking is not None:
+                # Name a first column the shrinking relation holds, so the
+                # selective delete has something to delete.
+                held = [r[0] for n, r in first if n == self.shrinking[0]]
+                if held:
+                    batch.append(("e0", (rng.choice(held), 0)))
             batches.append(batch)
+        if self.shrinking is not None:
+            # One more step, for the rows the last delete removed.
+            batches.append([])
         return batches
+
+    def keyed_rows(self, at_least: int = 0) -> list[tuple[str, tuple]]:
+        """At most one ``k0`` row per key: new values displace old rows."""
+        rng = self.rng
+        return [
+            ("k0", (key, rng.randrange(INT_MOD)))
+            for key in rng.sample(range(INT_MOD), rng.randint(at_least, 4))
+        ]
 
 
 def run_variant(program, batches, **kwargs):
@@ -381,7 +423,7 @@ def run_variant(program, batches, **kwargs):
 def test_compiled_plans_match_reference_and_naive(seed):
     rng = random.Random(seed)
     gen = ProgramGenerator(rng)
-    program = gen.generate()
+    program = gen.generate(negate_deleted=seed % 2 == 0)
     batches = gen.workload()
 
     compiled = run_variant(program, batches)  # source-codegen tier (default)
