@@ -76,8 +76,9 @@ def render_hot_rules(report: dict) -> str:
         for plan in entry["plans"]:
             if not plan["sampled"]:
                 continue
+            fold = f" => aggregate [{plan['fold']}]" if plan.get("fold") else ""
             lines.append(
-                f"  [{plan['tag']}] est {plan['est_ms']:.3f} ms over "
+                f"  [{plan['tag']}]{fold} est {plan['est_ms']:.3f} ms over "
                 f"{plan['execs']} execs, {plan['rows_out']} sampled rows out"
             )
             for step in plan["steps"]:

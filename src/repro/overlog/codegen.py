@@ -30,8 +30,9 @@ Four output shapes are emitted per plan: ``plain`` (head tuples, the
 default hot path), ``tracked`` (head tuples plus the final binding
 environment as a dict — what the provenance ledger consumes), ``envs``
 (binding environments only — the tracked-aggregate input), and ``agg``
-(pre-projected ``(group-key, agg-values)`` pairs — the untracked
-aggregate fold's input, skipping the environment dict entirely).
+(the bindings' aggregated-values tuples, batched per group key in a dict
+— the untracked aggregate fold's input, skipping the environment dict
+entirely).
 Wildcard-step deduplication uses a tuple of the bound locals in sorted
 name order, which discriminates exactly like the closure tier's
 ``frozenset(env.items())`` because the key set is fixed per step.
@@ -72,18 +73,19 @@ ORDER_SENSITIVE_FUNCTIONS = frozenset(
 )
 
 
-def _expr_has_sensitive_call(e: Any) -> bool:
+def expr_calls(e: Any) -> set[str]:
+    """Names of the functions an expression calls."""
     if isinstance(e, FuncCall):
-        if e.name in ORDER_SENSITIVE_FUNCTIONS:
-            return True
-        return any(_expr_has_sensitive_call(a) for a in e.args)
+        return {e.name}.union(*map(expr_calls, e.args))
     if isinstance(e, BinOp):
-        return _expr_has_sensitive_call(e.left) or _expr_has_sensitive_call(
-            e.right
-        )
+        return expr_calls(e.left) | expr_calls(e.right)
     if isinstance(e, UnOp):
-        return _expr_has_sensitive_call(e.operand)
-    return False
+        return expr_calls(e.operand)
+    return set()
+
+
+def _expr_has_sensitive_call(e: Any) -> bool:
+    return not ORDER_SENSITIVE_FUNCTIONS.isdisjoint(expr_calls(e))
 
 
 def _sensitive_sites(rule: Rule) -> int:
@@ -551,29 +553,28 @@ class _Emitter:
         if kind == "envs":
             self.w(indent, f"_append({env_dict})")
         elif kind == "agg":
-            # Pre-projected fold input for AggregatePlan: one
-            # (group-key tuple, aggregated-values) pair per distinct
-            # binding, in the exact positional order of ``group_fns`` /
-            # ``agg_specs`` — wildcard count<*> slots carry None, exactly
-            # like the closure fold's per-env extraction.  Single-spec
-            # rules (the common case) carry the bare value instead of a
-            # 1-tuple; ``AggregatePlan.execute`` folds scalars directly.
+            # Pre-projected fold input for AggregatePlan: the
+            # aggregated-values tuple of each distinct binding, batched
+            # under its group-key tuple, in the exact positional order of
+            # ``group_fns`` / ``agg_specs`` — wildcard count<*> slots
+            # carry None, exactly like ``AggregatePlan.project``.
             keys = ", ".join(
                 self.expr(a, varmap)
                 for a in rule.head.args
                 if not isinstance(a, AggSpec)
             )
-            specs = [a for a in rule.head.args if isinstance(a, AggSpec)]
-            vals = [
+            vals = ", ".join(
                 "None" if a.var.is_wildcard else self.expr(a.var, varmap)
-                for a in specs
-            ]
-            key_t = f"({keys + ',' if keys else ''})"
-            if len(vals) == 1:
-                val_t = vals[0]
-            else:
-                val_t = f"({', '.join(vals)}{',' if vals else ''})"
-            self.w(indent, f"_append(({key_t}, {val_t}))")
+                for a in rule.head.args
+                if isinstance(a, AggSpec)
+            )
+            self.w(indent, f"_k = ({keys + ',' if keys else ''})")
+            self.w(indent, f"_v = ({vals},)")
+            self.w(indent, "_b = _get(_k)")
+            self.w(indent, "if _b is None:")
+            self.w(indent + 1, "_out[_k] = [_v]")
+            self.w(indent, "else:")
+            self.w(indent + 1, "_b.append(_v)")
         else:
             if any(isinstance(a, AggSpec) for a in rule.head.args):
                 raise Unsupported("aggregate head in tuple-emitting plan")
@@ -588,7 +589,10 @@ class _Emitter:
                 self.w(indent, f"_append(({rule.head.name!r}, {head_tuple}))")
 
         lines = [f"def {name}(ev, delta_rows=(), exclude=None):"]
-        lines += ["    _out = []", "    _append = _out.append"]
+        if kind == "agg":
+            lines += ["    _out = {}", "    _get = _out.get"]
+        else:
+            lines += ["    _out = []", "    _append = _out.append"]
         lines += ["    " + p for p in self.preamble]
         lines += self.body
         lines += ["    return _out"]
@@ -616,7 +620,7 @@ _UNIT_LIMIT = 8192
 def _emit_unit(
     rule: Rule, drive: Any, catalog: Catalog, kinds: tuple[str, ...]
 ) -> Optional[_Unit]:
-    from .plan import body_order, drive_tag  # plan imports this module
+    from .plan import body_order, describe_fold, drive_tag  # imports us
 
     if _sensitive_sites(rule) > 1:
         # Kept on the closure tier to preserve the stateful call sequence.
@@ -637,6 +641,8 @@ def _emit_unit(
     except Unsupported:
         return None
     header = [f"# rule {rule.name} [{tag}] :: {rule}"]
+    if rule.is_aggregate:
+        header.append(f"#   => aggregate [{describe_fold(rule, catalog)}]")
     header += [f"#   {note}" for note in emitter.notes]
     source = "\n".join(header) + "\n" + "\n\n".join(chunks) + "\n"
     try:

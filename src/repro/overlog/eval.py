@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
 from .ast import (
-    AggSpec,
     Assign,
     Atom,
     BinOp,
@@ -42,9 +41,11 @@ from .functions import FunctionLibrary
 from .plan import (
     _SRC_DELTA,
     _SRC_POST_DELTA,
+    MAX_AGG_WITNESSES,
+    AggregatePlan,
     Drive,
     PlanCache,
-    aggregate as _aggregate,
+    RulePlans,
     body_order,
     compile_expr,
     removal_drives,
@@ -174,6 +175,23 @@ def match_atom(
             if expected != value:
                 return None
     return env if new_env is None else new_env
+
+
+def _const_column(atom: Atom) -> tuple[Optional[int], Any]:
+    """Predicate-dispatch hint: the first constant column of an atom (e.g.
+    the op-type string of request rules) as ``(column, value)``, else
+    ``(None, None)``.  Rows that miss it cannot bind the atom, so a rule
+    is handed only the matching rows of a delta and skipped when there
+    are none — the plan itself re-checks the constant, so the hint is
+    purely a filter."""
+    for col, arg in enumerate(atom.args):
+        if isinstance(arg, Const):
+            try:
+                hash(arg.value)
+            except TypeError:
+                continue
+            return col, arg.value
+    return None, None
 
 
 class Evaluator:
@@ -359,60 +377,41 @@ class Evaluator:
                         ("removed", k) if k in drivable else None,
                     ))
                 for pos, atom in enumerate(rule.positives):
-                    # Predicate-dispatch hint: a constant column in the
-                    # delta atom (e.g. the op-type string of request
-                    # rules).  The per-pass loop buckets the delta rows by
-                    # that column once and skips rules whose constant has
-                    # no matching rows — the plan itself re-checks the
-                    # constant, so the hint is purely a filter.
-                    ccol = cval = None
-                    for col, arg in enumerate(atom.args):
-                        if isinstance(arg, Const):
-                            try:
-                                hash(arg.value)
-                            except TypeError:
-                                continue
-                            ccol, cval = col, arg.value
-                            break
                     dispatch.setdefault(atom.name, []).append(
                         (ridx, pos, rule,
                          None if rp is None else rp.by_pos[pos],
-                         ("delta", pos), ccol, cval)
+                         ("delta", pos), *_const_column(atom))
                     )
                 seen_rels: set[str] = set()
                 for atom in (*rule.positives, *rule.negatives):
                     if atom.name not in seen_rels:
                         seen_rels.add(atom.name)
                         readers.setdefault(atom.name, []).append(ridx)
-            # Aggregate entries carry event-atom constant hints: when an
-            # aggregate body reads an event relation with a constant
-            # column (the request op-type pattern) and this step's pool
-            # has no matching event, the body cannot bind and the whole
-            # evaluation is skipped.
+            # Aggregate entries: (rule, plans, fold, gate, relations
+            # read).  A body with an event atom is driven from one —
+            # ``gate`` is its (drive, relation, constant column, value)
+            # — and the others need their removals watched.
             agg_entries = []
             for r in aggs:
-                for atom in (*r.positives, *r.negatives):
-                    watch.setdefault(atom.name, index)
-                hints = []
-                for atom in r.positives:
-                    if self.catalog.is_materialized(atom.name):
-                        continue
-                    for col, arg in enumerate(atom.args):
-                        if isinstance(arg, Const):
-                            try:
-                                hash(arg.value)
-                            except TypeError:
-                                continue
-                            hints.append((atom.name, col, arg.value))
-                            break
-                agg_entries.append(
-                    (r, plans_of.get(id(r)), tuple(hints))
+                rp = plans_of.get(id(r))
+                agg = (
+                    rp.agg if rp is not None
+                    else AggregatePlan(r, self.catalog, self.functions)
                 )
+                gate = None
+                if agg.gate is not None:
+                    atom = r.positives[agg.gate[1]]
+                    gate = (agg.gate, atom.name, *_const_column(atom))
+                else:
+                    for atom in (*r.positives, *r.negatives):
+                        watch.setdefault(atom.name, index)
+                agg_entries.append((r, rp, agg, gate, frozenset(
+                    atom.name for atom in (*r.positives, *r.negatives)
+                )))
             self._stratum_exec.append({
                 "normal": [(r, plans_of.get(id(r))) for r in normal],
                 "aggs": agg_entries,
                 "normal_rules": normal,
-                "agg_rules": aggs,
                 "dispatch": dispatch,
                 "neg_readers": neg_readers,
                 # relation -> rule indexes reading it anywhere (positive
@@ -595,15 +594,6 @@ class Evaluator:
         so the next step re-evaluates rules reading ``relation``."""
         self._full_dirty_pending.add(relation)
 
-    def _rule_is_active(self, rule: Rule) -> bool:
-        for atom in rule.positives:
-            if atom.name in self._active:
-                return True
-        for atom in rule.negatives:
-            if atom.name in self._active:
-                return True
-        return False
-
     def _note_removed(self, rel: str, row: Row) -> None:
         """A stored row just left ``rel``: deleted, or displaced by a row
         with its primary key."""
@@ -706,9 +696,7 @@ class Evaluator:
         """
         info = self._stratum_exec[index]
         if self.naive:
-            self._run_stratum_naive(
-                index, info["normal_rules"], info["agg_rules"]
-            )
+            self._run_stratum_naive(index, info["normal_rules"], info["aggs"])
             return
 
         self._cur_stratum = index
@@ -730,50 +718,13 @@ class Evaluator:
             and self._profiler is None
             and self._ledger is None
         )
-        # Staged entries are (rule, derivations) batches where each
-        # derivation is (rel, row) — or (rel, row, body_tuples) under the
-        # provenance ledger's tracked execution.  Batching by rule keeps
-        # the dispatch order identical while skipping one tuple
-        # allocation per derived head.
-        staged: list[tuple[Rule, list]] = []
-        # Aggregates read only lower strata (guaranteed by stratification),
-        # so one evaluation suffices; their outputs seed the delta.
-        for rule, rp, hints in info["aggs"]:
-            if not self._rule_is_active(rule):
-                continue
-            if fast:
-                if hints:
-                    # Event-atom constant hint: no matching event in the
-                    # pool means the body cannot bind — the plan would
-                    # return [] after scanning; skip the call.
-                    pool_miss = False
-                    for rel, col, val in hints:
-                        hit = False
-                        pool = self._event_pool.get(rel)
-                        if pool:
-                            for r in pool:
-                                if len(r) > col and r[col] == val:
-                                    hit = True
-                                    break
-                        if not hit:
-                            pool_miss = True
-                            break
-                    if pool_miss:
-                        continue
-                items = rp.agg.execute(self)
-            else:
-                items = self._derive_aggregate(
-                    rule, None if rp is None else rp.agg
-                )
-            if items:
-                staged.append((rule, items))
-
         # Iteration 0: the stratum catches up with everything that changed
         # since it last ran.  Inserted rows (inbox plus lower strata) are
         # delta-joined per reading position and removed rows drive the
-        # rules that negate their relation, which is what makes
-        # steady-state operations O(change) rather than O(database); only
-        # rules reading a fully dirty relation are re-evaluated in full.
+        # rules that negate their relation and the aggregates that fold
+        # it, which is what makes steady-state operations O(change)
+        # rather than O(database); only rules reading a fully dirty
+        # relation are re-evaluated in full.
         # The snapshot is taken here because the stratum's own loop keeps
         # growing ``_accumulated``.
         # Only relations this stratum actually reads matter: the exclude
@@ -787,6 +738,36 @@ class Evaluator:
             for rel, rows in self._accumulated.items()
             if rel in read
         }
+        # Staged entries are (rule, derivations) batches where each
+        # derivation is (rel, row) — or (rel, row, body_tuples) under the
+        # provenance ledger's tracked execution.  Batching by rule keeps
+        # the dispatch order identical while skipping one tuple
+        # allocation per derived head.
+        staged: list[tuple[Rule, list]] = []
+        # Aggregates read only lower strata (guaranteed by stratification),
+        # so one evaluation suffices; their outputs seed the delta.  An
+        # event-driven one runs on the events its gate lets through (the
+        # constant-column dispatch of ``_delta_candidates``), the others
+        # when a relation they read is active.
+        for entry in info["aggs"]:
+            gate = entry[3]
+            if gate is None:
+                events = None
+                if self._active.isdisjoint(entry[4]):
+                    continue
+            else:
+                _drive, rel, ccol, cval = gate
+                events = acc.get(rel)
+                if events and ccol is not None:
+                    events = [
+                        r for r in events if len(r) > ccol and r[ccol] == cval
+                    ]
+                if not events:
+                    continue
+            items = self._run_aggregate(entry, events, index, acc)
+            if items:
+                staged.append((entry[0], items))
+
         normal = info["normal"]
         dispatch = info["dispatch"]
         need_full: set[int] = set()
@@ -954,7 +935,7 @@ class Evaluator:
                 stat.execs = n + 1
                 if n % prof.sample_every == 0:
                     return prof.run_plan(
-                        plan, self, delta_rows, exclude, tracked
+                        plan, self, delta_rows, exclude, plan.project, tracked
                     )
             if tracked:
                 src = plan.src_execute_tracked
@@ -967,28 +948,93 @@ class Evaluator:
             return plan.execute(self, delta_rows, exclude)
         return self._eval_rule(rule, drive, delta_rows, exclude)
 
-    def _derive_aggregate(self, rule: Rule, plan: Any = None) -> list[tuple]:
-        planner = self.planner
-        if planner is not None:
-            if plan is None:
-                plan = planner.plans_for(rule).agg
-            tracked = self._ledger is not None
-            prof = self._profiler
-            if prof is not None:
-                stat = plan._prof
-                if stat is None:
-                    stat = prof.link(plan)
-                n = stat.execs
-                stat.execs = n + 1
-                if n % prof.sample_every == 0:
-                    return prof.run_agg_plan(plan, self, tracked)
-            if tracked:
-                return plan.execute_tracked(self)
-            return plan.execute(self)
-        return self._eval_aggregate_rule(rule)
+    def _run_aggregate(
+        self,
+        entry: tuple,
+        events: Optional[Iterable[Row]],
+        index: int,
+        acc: dict[str, set[Row]],
+    ) -> list[tuple]:
+        """One activation of an aggregate rule, for every semi-naive tier:
+        fold what entered and left its body since stratum ``index`` last
+        ran into the rule's state (:func:`plan.fold_strategy`) and return
+        the head rows of the groups that moved."""
+        rule, _rp, agg, gate, rels = entry
+        tracked = self._ledger is not None
+        how = agg.strategy
+        if how == "per-step":
+            # No state across steps: fold this step's bindings.
+            found = self._contributions(entry, gate[0], list(events), None)
+            return agg.fold(found, tracked)[1]
+        gone = []
+        if self._removed or self._removed_prev:
+            gone = [
+                (i, rows) for i, atom in enumerate(rule.positives)
+                if (rows := self._removed_rows(atom.name, index))
+            ]
+        if (
+            how == "recompute"
+            or agg.groups is None
+            # Two atoms lost rows at once: neither retraction sees the
+            # bindings that held a lost row of both.
+            or len(gone) > 1
+            or not self._full_dirty.isdisjoint(rels)
+        ):
+            groups, rows = agg.fold(
+                self._contributions(entry, None, (), None), tracked
+            )
+            if how != "recompute":
+                agg.groups = groups
+            return rows
+        changes = [(("retract", i), rows, -1) for i, rows in gone]
+        changes += [
+            (("delta", i), list(rows), 1)
+            for i, atom in enumerate(rule.positives)
+            if (rows := acc.get(atom.name))
+        ]
+        touched: dict[Row, None] = {}
+        for drive, rows, sign in changes:
+            found = self._contributions(entry, drive, rows, acc)
+            if how == "state":
+                agg.absorb(agg.groups, found, tracked, sign, touched)
+            else:
+                touched.update(dict.fromkeys(found))
+        if how == "regroup" and touched:
+            found = self._contributions(
+                entry, ("regroup", None), list(touched), None
+            )
+            agg.regroup(agg.absorb({}, found, tracked), touched)
+        return agg.emit(agg.groups, touched, tracked)
+
+    def _contributions(
+        self,
+        entry: tuple,
+        drive: Drive,
+        rows: list[Row],
+        exclude: Optional[dict[str, set[Row]]],
+    ) -> dict[Row, list]:
+        """The contributions of one body plan of an aggregate rule:
+        through the interpreter without plans, timed when the profiler
+        samples the execution, as environments (the witnesses) under the
+        ledger and else in the generated ``agg`` shape."""
+        rule, rp, agg = entry[:3]
+        tracked = self._ledger is not None
+        if rp is None:
+            envs = self._body_envs(rule, drive, rows, exclude)
+            return agg.project(envs, tracked)
+        plan = rp.by_drive[drive]
+        prof = self._profiler
+        if prof is not None and prof.should_sample(plan):
+            return prof.run_plan(plan, self, rows, exclude, agg.project, tracked)
+        if plan._codegen is not None:
+            plan.generate()
+        if not tracked and plan.src_agg is not None:
+            return plan.src_agg(self, rows, exclude)
+        envs = (plan.src_envs or plan.body_envs)(self, rows, exclude)
+        return agg.project(envs, tracked)
 
     def _run_stratum_naive(
-        self, index: int, normal_rules: list[Rule], agg_rules: list[Rule]
+        self, index: int, normal_rules: list[Rule], aggs: list[tuple]
     ) -> None:
         """Textbook naive fixpoint: all rules, full database, every round,
         until a round derives nothing new."""
@@ -998,8 +1044,10 @@ class Evaluator:
             if iterations > MAX_FIXPOINT_ITERATIONS:
                 raise EvaluationError("naive fixpoint did not converge")
             staged: list[tuple[Rule, list]] = []
-            for rule in agg_rules:
-                items = self._eval_aggregate_rule(rule)
+            for rule, _rp, agg, _gate, _rels in aggs:
+                items = agg.fold(
+                    agg.project(self._body_envs(rule, None, ()))
+                )[1]
                 if items:
                     staged.append((rule, items))
             for rule in normal_rules:
@@ -1153,9 +1201,8 @@ class Evaluator:
 
     # -- witness reconstruction (provenance) ---------------------------------
 
-    # An aggregate over thousands of bindings would otherwise record a
-    # body entry per contributing tuple; cap the recorded witnesses.
-    MAX_AGG_WITNESSES = 64
+    # Witnesses kept (and hence recorded) per aggregate group.
+    MAX_AGG_WITNESSES = MAX_AGG_WITNESSES
 
     def _witness_body(self, rule: Rule, witness: Any) -> tuple:
         """Body tuples ``((rel, row), ...)`` for a recorded derivation,
@@ -1173,7 +1220,7 @@ class Evaluator:
         if rule.is_aggregate:
             seen: set = set()
             out: list = []
-            for env in witness[: self.MAX_AGG_WITNESSES]:
+            for env in witness:
                 for item in self._body_from_env(rule, env):
                     if item not in seen:
                         seen.add(item)
@@ -1434,49 +1481,3 @@ class Evaluator:
             if isinstance(arg, Var) and not arg.is_wildcard and arg.name in bound:
                 return column, arg
         return None
-
-    # -- aggregation ---------------------------------------------------------
-
-    def _eval_aggregate_rule(self, rule: Rule) -> list[tuple[str, Row]]:
-        envs = self._body_envs(rule, None, ())
-        head = rule.head
-        group_positions = [
-            i for i, a in enumerate(head.args) if not isinstance(a, AggSpec)
-        ]
-        agg_positions = [i for i, a in enumerate(head.args) if isinstance(a, AggSpec)]
-
-        # Bag aggregation over distinct *bindings* (SQL semantics): the
-        # body evaluator already deduplicates identical environments, so
-        # two different bindings contributing the same value both count —
-        # e.g. sum of chunk sizes where several chunks are equally large.
-        groups: dict[Row, list[Row]] = defaultdict(list)
-        for env in envs:
-            key = tuple(
-                eval_expr(head.args[i], env, self.functions)
-                for i in group_positions
-            )
-            agg_values = []
-            for i in agg_positions:
-                spec = head.args[i]
-                assert isinstance(spec, AggSpec)
-                if spec.var.is_wildcard:
-                    agg_values.append(None)  # count<*>: one per binding
-                else:
-                    agg_values.append(eval_expr(spec.var, env, self.functions))
-            groups[key].append(tuple(agg_values))
-
-        out: list[tuple[str, Row]] = []
-        for key, value_rows in groups.items():
-            row: list[Any] = [None] * len(head.args)
-            for slot, i in enumerate(group_positions):
-                row[i] = key[slot]
-            for slot, i in enumerate(agg_positions):
-                spec = head.args[i]
-                assert isinstance(spec, AggSpec)
-                if spec.var.is_wildcard:
-                    row[i] = len(value_rows)
-                    continue
-                values = [vr[slot] for vr in value_rows]
-                row[i] = _aggregate(spec.func, values)
-            out.append((head.name, tuple(row)))
-        return out

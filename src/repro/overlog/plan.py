@@ -12,18 +12,22 @@ rule text, so this module resolves them **once, at program-install time**:
   division and short-circuit ``&&``/``||``).
 * ``body_order`` fixes, for one rule and one *drive* (what changed: rows
   inserted into a positive atom's relation, rows removed from a negated
-  atom's), the order the body runs in and the view each atom reads; the
-  interpreter, the closure steps below and the source emitter all
-  iterate it.
+  atom's or, for an aggregate, from a positive atom's), the order the
+  body runs in and the view each atom reads; the interpreter, the
+  closure steps below and the source emitter all iterate it.
 * ``JoinPlan`` is the compiled form of one rule body for one drive: an
   ordered sequence of steps (delta scan, composite index probe, table
   scan, negation check, assignment, condition) with the bound-variable
   sets and index column choices frozen in.
+* ``AggregatePlan`` is the grouping/fold half of an aggregate rule and
+  its per-group fold state: contributions enter and leave it, and only
+  the groups whose fold moved produce head rows.  Every tier, naive
+  evaluation and both observers turn bindings into head rows here.
 * ``PlanCache`` owns every plan for a rule set — a full-evaluation plan,
   one ``JoinPlan`` per positive atom (``delta@i``) and per drivable
-  negated atom (``removed@k``) and, for aggregate rules, an
-  ``AggregatePlan`` — and is invalidated wholesale when rules are added
-  or swapped.
+  negated atom (``removed@k``) and, for aggregate rules over stored
+  relations, one per positive atom losing rows (``retract@i``) — and is
+  invalidated wholesale when rules are added or swapped.
 
 Plans probe composite (multi-column) hash indexes: where the interpreter
 probed only the *first* bound column, a plan probes **all** bound columns
@@ -52,6 +56,8 @@ Correctness notes (load-bearing, relied on by the differential tests):
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
+from math import isfinite
 from typing import Any, Callable, Iterable, Optional
 
 from .ast import (
@@ -71,9 +77,14 @@ from .ast import (
     expr_vars,
 )
 from .catalog import Catalog, Row, Table
-from .codegen import Unsupported, atom_needs_dedup, generate_plan_source
+from .codegen import (
+    Unsupported,
+    atom_needs_dedup,
+    expr_calls,
+    generate_plan_source,
+)
 from .errors import EvaluationError
-from .functions import FunctionLibrary
+from .functions import DEFAULT_FUNCTIONS, FunctionLibrary
 
 Env = dict[str, Any]
 ExprFn = Callable[[Env], Any]
@@ -299,12 +310,17 @@ _SRC_POST_DELTA = "full-minus-delta"  # full relation minus the delta
 # What a plan's driving rows are: ``None`` for the full evaluation,
 # ``("delta", i)`` for rows inserted into the i-th positive atom's
 # relation, ``("removed", k)`` for rows that left the relation of the
-# k-th negated atom.
-Drive = Optional[tuple[str, int]]
+# k-th negated atom and, in aggregate rules, ``("retract", i)`` for rows
+# that left the i-th positive atom's relation, ``("regroup", None)`` for
+# the keys of the groups whose members the body is to enumerate and
+# ``("events", i)`` for this step's events of the i-th positive atom.
+Drive = Optional[tuple[str, Optional[int]]]
 
 
 def drive_tag(drive: Drive) -> str:
-    return "full" if drive is None else f"{drive[0]}@{drive[1]}"
+    if drive is None:
+        return "full"
+    return drive[0] if drive[1] is None else f"{drive[0]}@{drive[1]}"
 
 
 def _reorderable(rule: Rule) -> bool:
@@ -344,8 +360,8 @@ def removal_drives(
 
     ``None``: not at all.  Every binding of a rule with an event atom
     holds a row of the current step, so the insert deltas find it, and
-    an aggregate is recomputed by the evaluator whenever a body relation
-    is active.  Otherwise the negated atoms (as indexes into
+    an aggregate answers removals through its fold state
+    (:func:`fold_strategy`).  Otherwise the negated atoms (as indexes into
     ``rule.negatives``) whose removed rows can *drive* the rule: every
     argument is a constant, a wildcard or a variable bound earlier in
     the body, so a removed row names exactly the bindings it was
@@ -403,6 +419,13 @@ def body_order(
     full-minus-delta (bindings using a row inserted this step belong to
     the insert deltas) and the ``notin`` still runs at its place, since
     another row may block and a removed row may have been re-inserted.
+
+    The drives of aggregate rules: ``retract@i`` ranges atom ``i`` over
+    the rows that left its relation and every other atom over
+    full-minus-delta — the state a lost binding lived in; ``regroup`` is
+    driven by group keys, matched by an atom of the head's group
+    arguments, and ``events@i`` by the events of atom ``i``, and both
+    read every other relation in full.
     """
     body = rule.body
     if drive is None:
@@ -416,26 +439,29 @@ def body_order(
         if not isinstance(elem, Atom):
             views.append(None)
             continue
-        if kind == "removed" or pos > at:
-            views.append(_SRC_POST_DELTA)
-        elif pos == at:
+        if kind != "removed" and pos == at:
             views.append(_SRC_DELTA)
-        else:
+        elif kind in ("regroup", "events") or (kind == "delta" and pos < at):
             views.append(_SRC_NORMAL)
+        else:
+            views.append(_SRC_POST_DELTA)
         pos += 1
-    if kind == "delta" and not _reorderable(rule):
+    if kind in ("delta", "retract", "events") and not _reorderable(rule):
         return list(zip(body, views))
 
     order: list[tuple[Any, Optional[str]]] = []
     bound: set[str] = set()
     pending = set(range(len(body)))
-    if kind == "delta":
+    if kind in ("delta", "retract", "events"):
         first = views.index(_SRC_DELTA)
         order.append((body[first], _SRC_DELTA))
         pending.discard(first)
         bound |= atom_vars(body[first])
     else:
-        driver = rule.negatives[at]
+        driver = (
+            rule.negatives[at] if kind == "removed"
+            else Atom("<group>", _group_args(rule))
+        )
         order.append((driver, _SRC_DELTA))
         bound |= atom_vars(driver)
     def rank(idx: int) -> tuple:
@@ -722,7 +748,7 @@ class JoinPlan:
     Under the source-codegen tier (``compile_mode="source"``, see
     :mod:`repro.overlog.codegen`) the plan additionally carries flat
     ``exec``-generated functions — ``src_execute`` / ``src_execute_tracked``
-    / ``src_envs`` / ``src_pairs`` — that produce bit-identical output to
+    / ``src_envs`` / ``src_agg`` — that produce bit-identical output to
     ``execute`` / ``execute_tracked`` / ``body_envs`` without the step
     pipeline.  They are generated on the plan's first execution (most
     rule x drive pairs of a program never run) and stay ``None`` on the
@@ -733,8 +759,8 @@ class JoinPlan:
 
     __slots__ = (
         "rule", "drive", "tag", "steps", "head_name", "head_fns", "_prof",
-        "src_execute", "src_execute_tracked", "src_envs", "src_pairs",
-        "source", "unsupported", "_codegen",
+        "src_execute", "src_execute_tracked", "src_envs", "src_agg",
+        "source", "unsupported", "_codegen", "fold",
     )
 
     def __init__(
@@ -750,6 +776,8 @@ class JoinPlan:
         self.steps = steps
         self.head_name = rule.head.name
         self.head_fns = head_fns
+        # Aggregate rules: what the plan's bindings feed (describe_fold).
+        self.fold: Optional[str] = None
         # Profiler stat slot, lazily filled by PlanProfiler.should_sample
         # so the sampling decision is one attribute load per execution.
         self._prof = None
@@ -758,7 +786,7 @@ class JoinPlan:
         self.src_execute = None
         self.src_execute_tracked = None
         self.src_envs = None
-        self.src_pairs = None
+        self.src_agg = None
         self.source: Optional[str] = None
         self.unsupported = False
         self._codegen: Optional[tuple] = None
@@ -780,7 +808,7 @@ class JoinPlan:
         self.src_execute = fns.get("plain")
         self.src_execute_tracked = fns.get("tracked")
         self.src_envs = fns.get("envs")
-        self.src_pairs = fns.get("agg")
+        self.src_agg = fns.get("agg")
 
     def body_envs(
         self,
@@ -807,14 +835,7 @@ class JoinPlan:
             self.generate()
             if self.src_execute is not None:
                 return self.src_execute(ev, delta_rows, exclude)
-        envs = self.body_envs(ev, delta_rows, exclude)
-        if not envs:
-            return []
-        name = self.head_name
-        fns = self.head_fns
-        return [
-            (name, tuple(fn(env) for fn in fns)) for env in envs
-        ]
+        return self.project(self.body_envs(ev, delta_rows, exclude))
 
     def execute_tracked(
         self,
@@ -831,37 +852,126 @@ class JoinPlan:
             self.generate()
             if self.src_execute_tracked is not None:
                 return self.src_execute_tracked(ev, delta_rows, exclude)
-        envs = self.body_envs(ev, delta_rows, exclude)
-        if not envs:
-            return []
+        return self.project(self.body_envs(ev, delta_rows, exclude), True)
+
+    def project(self, envs: list[Env], tracked: bool = False) -> list[tuple]:
+        """Head tuples of body environments (with each environment when
+        ``tracked``)."""
         name = self.head_name
         fns = self.head_fns
-        return [
-            (name, tuple(fn(env) for fn in fns), env) for env in envs
-        ]
+        if tracked:
+            return [
+                (name, tuple(fn(env) for fn in fns), env) for env in envs
+            ]
+        return [(name, tuple(fn(env) for fn in fns)) for env in envs]
 
     def explain(self) -> str:
         """Human-readable plan: one line per step, in execution order."""
-        lines = [f"[{self.tag}]"]
+        lines = [
+            f"[{self.tag}]"
+            + (f" => aggregate [{self.fold}]" if self.fold else "")
+        ]
         lines += [f"  {i}. {s.describe()}" for i, s in enumerate(self.steps)]
         return "\n".join(lines)
 
 
-class AggregatePlan:
-    """An aggregate rule: compiled body plan plus grouping/fold spec."""
+# An aggregate over thousands of bindings would otherwise keep (and the
+# ledger record) a witness per contributing tuple; cap them per group.
+MAX_AGG_WITNESSES = 64
 
-    __slots__ = (
-        "rule", "body", "head_name", "group_fns", "agg_specs", "arity",
-        "_prof",
+# How one aggregate column of one group absorbs a contribution entering
+# or leaving: a running value, the multiset of values with its current
+# extreme (rescanned only when that extreme leaves), or — everything
+# else — the values themselves, refolded when the group is touched.
+_FOLD_KINDS = {
+    "count": "running", "sum": "running", "avg": "running",
+    "min": "multiset", "max": "multiset",
+}
+
+
+def _group_args(rule: Rule) -> tuple:
+    return tuple(a for a in rule.head.args if not isinstance(a, AggSpec))
+
+
+def _rule_calls(rule: Rule) -> set[str]:
+    exprs = [a.var if isinstance(a, AggSpec) else a for a in rule.head.args]
+    for elem in rule.body:
+        if isinstance(elem, (Atom, NotIn)):
+            exprs += getattr(elem, "atom", elem).args
+        else:
+            exprs.append(elem.expr)
+    return set().union(*map(expr_calls, exprs))
+
+
+def fold_strategy(rule: Rule, catalog: Catalog) -> str:
+    """How an aggregate rule is kept current between steps.
+
+    ``per-step``: the body holds an event atom, so every binding is of
+    this step and there is nothing to keep.  ``state``: per-group fold
+    state, updated by the rows that entered and left the body relations.
+    ``regroup``: an atom hides a key column behind a wildcard, so several
+    rows share one binding and a row entering or leaving need not change
+    the bag of distinct bindings — the groups such a row touches are
+    refolded from the tables with their key bound.  ``recompute``: every
+    group, from the full body, on every activation — what a ``notin``
+    (its relation's inserts retract bindings), a call of anything but a
+    pure builtin (``f_now()``: a binding may come and go with no row
+    moving), an ``@next`` head (it runs in its body's own stratum, before
+    the step's delta is complete), a ``delete`` head (what it deleted may
+    be back) and a regroup that cannot bind the key (computed group
+    argument, pinned body order) fall back to."""
+    if not all(catalog.is_materialized(a.name) for a in rule.positives):
+        return "per-step"
+    if (
+        rule.negatives or rule.deferred or rule.delete
+        or not _rule_calls(rule) <= DEFAULT_FUNCTIONS.keys()
+    ):
+        return "recompute"
+    if not any(
+        atom_needs_dedup(a, catalog.tables[a.name]) for a in rule.positives
+    ):
+        return "state"
+    if _reorderable(rule) and all(
+        isinstance(a, (Var, Const)) for a in _group_args(rule)
+    ):
+        return "regroup"
+    return "recompute"
+
+
+def describe_fold(rule: Rule, catalog: Catalog) -> str:
+    """``count@2: running`` per aggregate column — its fold kind under
+    the ``state`` strategy, else the strategy — for ``explain()``, the
+    generated-source header and the profiler's report."""
+    how = fold_strategy(rule, catalog)
+    return ", ".join(
+        f"{a.func}@{i}: "
+        + (_FOLD_KINDS.get(a.func, "refold") if how == "state" else how)
+        for i, a in enumerate(rule.head.args)
+        if isinstance(a, AggSpec)
     )
 
-    # Profiler tag (JoinPlans carry their drive's tag instead).
-    tag = "agg"
 
-    def __init__(self, rule: Rule, body: JoinPlan, functions: FunctionLibrary):
-        self.rule = rule
-        self.body = body
-        self._prof = None
+class AggregatePlan:
+    """The grouping/fold half of an aggregate rule, and its fold state.
+
+    A body's *contributions* are one tuple of aggregated values per
+    distinct binding (bag aggregation, SQL semantics; the body plans
+    deliver distinct bindings) — ``(values, environment)``, the witness,
+    under the provenance ledger — batched per group key in a dict.  A
+    group is ``[members, head row, witnesses, fold...]`` with one fold
+    slot per aggregate column (see ``_FOLD_KINDS``; ``None`` until a
+    value arrives).  ``groups`` is the state the evaluator keeps between
+    steps (``None`` until first built, and for rules that keep none);
+    every one-shot fold — naive evaluation, event bodies, rebuilds —
+    goes through the same :meth:`absorb` and :meth:`emit` on a fresh dict.
+    """
+
+    __slots__ = (
+        "head_name", "arity", "group_fns", "agg_specs", "strategy",
+        "announce", "gate", "groups", "_folds", "_blank",
+    )
+
+    def __init__(self, rule: Rule, catalog: Catalog, functions: FunctionLibrary):
         head = rule.head
         self.head_name = head.name
         self.arity = len(head.args)
@@ -873,141 +983,176 @@ class AggregatePlan:
         self.agg_specs = tuple(
             (
                 i,
-                a.func,
+                # f<_> counts bindings whatever f is, as count<X> does.
+                "count" if a.var.is_wildcard else a.func,
                 None if a.var.is_wildcard else compile_expr(a.var, functions),
             )
             for i, a in enumerate(head.args)
             if isinstance(a, AggSpec)
         )
+        # (values index, head column, function, fold kind) per column
+        # that folds values; counts read the group's member count.
+        self._folds = tuple(
+            (n, i, func, _FOLD_KINDS.get(func))
+            for n, (i, func, _fn) in enumerate(self.agg_specs)
+            if func != "count"
+        )
+        self._blank = [0, None, ()] + [None] * len(self.agg_specs)
+        self.strategy = fold_strategy(rule, catalog)
+        # An event or located head is gone (or shipped) once the step
+        # ends: every live group is announced on every activation.
+        self.announce = head.loc is not None or not catalog.is_materialized(
+            head.name
+        )
+        # What drives a rule folded afresh each step: its first event atom.
+        self.gate: Drive = None
+        if self.strategy == "per-step":
+            self.gate = ("events", next(
+                i for i, a in enumerate(rule.positives)
+                if not catalog.is_materialized(a.name)
+            ))
+        self.groups: Optional[dict[Row, list]] = None
 
-    def execute(self, ev: Any) -> list[tuple[str, Row]]:
-        # Bag aggregation over distinct bindings (SQL semantics) — the
-        # body plan already guarantees distinct environments/pairs.
-        # Single-spec rules bucket bare values (the generated ``agg``
-        # shape emits scalars for them); multi-spec rules bucket values
-        # tuples.  Both fold in first-seen group order, matching the
-        # closure fold exactly.
-        groups: dict[Row, list] = {}
-        specs = self.agg_specs
-        single = len(specs) == 1
-        body = self.body
-        if body._codegen is not None:
-            body.generate()
-        # Source-tier overlay: a generated function yielding one
-        # (group-key, agg-values) pair per distinct binding, replacing
-        # the env materialization + per-env closure extraction below.
-        pairs_fn = body.src_pairs
-        if pairs_fn is not None:
-            for key, values in pairs_fn(ev, (), None):
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = [values]
-                else:
-                    bucket.append(values)
-        else:
-            envs_fn = body.src_envs
-            if envs_fn is not None:
-                envs = envs_fn(ev, (), None)
-            else:
-                envs = body.body_envs(ev, (), None)
-            group_fns = self.group_fns
-            if single:
-                _, _, vfn = specs[0]
-                for env in envs:
-                    key = tuple(fn(env) for _, fn in group_fns)
-                    value = None if vfn is None else vfn(env)
-                    bucket = groups.get(key)
-                    if bucket is None:
-                        groups[key] = [value]
-                    else:
-                        bucket.append(value)
-            else:
-                for env in envs:
-                    key = tuple(fn(env) for _, fn in group_fns)
-                    values = tuple(
-                        None if fn is None else fn(env)
-                        for _, _, fn in specs
-                    )
-                    bucket = groups.get(key)
-                    if bucket is None:
-                        groups[key] = [values]
-                    else:
-                        bucket.append(values)
-        out: list[tuple[str, Row]] = []
-        head_name = self.head_name
-        arity = self.arity
-        group_fns = self.group_fns
-        if single:
-            i, func, fn = specs[0]
-            for key, values in groups.items():
-                row: list[Any] = [None] * arity
-                for slot, (gi, _fn) in enumerate(group_fns):
-                    row[gi] = key[slot]
-                if fn is None:
-                    row[i] = len(values)  # count<*>: one per binding
-                else:
-                    row[i] = aggregate(func, values)
-                out.append((head_name, tuple(row)))
-            return out
-        for key, value_rows in groups.items():
-            row = [None] * arity
-            for slot, (gi, _fn) in enumerate(group_fns):
-                row[gi] = key[slot]
-            for slot, (i, func, fn) in enumerate(specs):
-                if fn is None:
-                    row[i] = len(value_rows)  # count<*>: one per binding
-                else:
-                    row[i] = aggregate(func, [vr[slot] for vr in value_rows])
-            out.append((head_name, tuple(row)))
-        return out
-
-    def execute_tracked(self, ev: Any) -> list[tuple[str, Row, tuple]]:
-        """Like :meth:`execute`; each aggregate output carries the tuple
-        of contributing body environments (one per distinct binding in
-        the group), from which the evaluator reconstructs witnesses."""
-        if self.body._codegen is not None:
-            self.body.generate()
-        envs_fn = self.body.src_envs
-        if envs_fn is not None:
-            envs = envs_fn(ev, (), None)
-        else:
-            envs = self.body.body_envs(ev, (), None)
-        group_fns = self.group_fns
-        agg_specs = self.agg_specs
-        groups: dict[Row, list[Row]] = {}
-        witnesses: dict[Row, list[Env]] = {}
+    def project(self, envs: list[Env], tracked: bool = False) -> dict[Row, list]:
+        """The contributions of a body's environments."""
+        keys = tuple(fn for _, fn in self.group_fns)
+        vals = tuple(fn for _, _, fn in self.agg_specs)
+        out: dict[Row, list] = {}
         for env in envs:
-            key = tuple(fn(env) for _, fn in group_fns)
-            values = tuple(
-                None if fn is None else fn(env) for _, _, fn in agg_specs
+            values = tuple(None if fn is None else fn(env) for fn in vals)
+            out.setdefault(tuple(fn(env) for fn in keys), []).append(
+                (values, env) if tracked else values
             )
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [values]
-                witnesses[key] = [env]
-            else:
-                bucket.append(values)
-                witnesses[key].append(env)
-        out: list[tuple[str, Row, tuple]] = []
-        for key, value_rows in groups.items():
-            row: list[Any] = [None] * self.arity
-            for slot, (i, _fn) in enumerate(group_fns):
-                row[i] = key[slot]
-            for slot, (i, func, fn) in enumerate(agg_specs):
-                if fn is None:
-                    row[i] = len(value_rows)  # count<*>: one per binding
-                else:
-                    row[i] = aggregate(func, [vr[slot] for vr in value_rows])
-            out.append((self.head_name, tuple(row), tuple(witnesses[key])))
         return out
 
-    def explain(self) -> str:
-        aggs = ", ".join(f"{func}@{i}" for i, func, _ in self.agg_specs)
-        return self.body.explain() + f"\n  => aggregate [{aggs}]"
+    def absorb(
+        self,
+        groups: dict[Row, list],
+        contributions: dict[Row, list],
+        tracked: bool = False,
+        sign: int = 1,
+        touched: Optional[dict[Row, None]] = None,
+    ) -> dict[Row, list]:
+        """Fold contributions entering (``sign`` 1) or leaving (-1) into
+        ``groups``, noting their keys in ``touched`` in first-seen order."""
+        for key, batch in contributions.items():
+            if touched is not None:
+                touched[key] = None
+            g = groups.get(key)
+            if g is None:
+                g = groups[key] = self._blank[:]
+            g[0] += sign * len(batch)
+            if tracked:
+                seen = list(g[2])
+                for _, env in batch:
+                    if sign < 0:
+                        if env in seen:
+                            seen.remove(env)
+                    elif len(seen) < MAX_AGG_WITNESSES:
+                        seen.append(env)
+                g[2] = tuple(seen)
+                batch = [values for values, _ in batch]
+            for n, _i, func, kind in self._folds:
+                values = [c[n] for c in batch]
+                fold = g[n + 3]
+                if kind == "running":
+                    if float in map(type, values):
+                        # Exact, so that the sum is a function of the
+                        # group's bag of values and not of the order they
+                        # came and went in.
+                        values = [
+                            Fraction(v) if type(v) is float and isfinite(v)
+                            else v
+                            for v in values
+                        ]
+                    g[n + 3] = (fold or 0) + sign * sum(values)
+                elif kind is None:
+                    if sign < 0:
+                        for value in values:
+                            fold.remove(value)
+                    elif fold is None:
+                        g[n + 3] = values
+                    else:
+                        fold.extend(values)
+                else:
+                    if fold is None:
+                        fold = g[n + 3] = [None, {}]
+                    counts, pick = fold[1], min if func == "min" else max
+                    for value in values:
+                        counts[value] = counts.get(value, 0) + sign
+                        if not counts[value]:
+                            del counts[value]
+                    if sign > 0:
+                        best = pick(values)
+                        fold[0] = best if fold[0] is None else pick(fold[0], best)
+                    elif fold[0] not in counts:
+                        # The extreme left: rescan what is left.
+                        fold[0] = pick(counts) if counts else None
+        return groups
+
+    def fold(
+        self, contributions: dict[Row, list], tracked: bool = False
+    ) -> tuple[dict[Row, list], list[tuple]]:
+        """Fresh groups from all of a body's contributions, and the head
+        row of each."""
+        groups = self.absorb({}, contributions, tracked)
+        return groups, self.emit(groups, contributions, tracked)
+
+    def _row(self, key: Row, g: list) -> Row:
+        row: list[Any] = [g[0]] * self.arity  # count columns stay
+        for (i, _fn), part in zip(self.group_fns, key):
+            row[i] = part
+        for n, i, func, kind in self._folds:
+            fold = g[n + 3]
+            if kind == "running":
+                if type(fold) is Fraction:
+                    fold = float(fold)
+                row[i] = fold / g[0] if func == "avg" else fold
+            else:
+                row[i] = refold(func, fold) if kind is None else fold[0]
+        return tuple(row)
+
+    def emit(
+        self, groups: dict[Row, list], touched: Iterable[Row], tracked: bool
+    ) -> list[tuple]:
+        """Head rows ``(relation, row)`` — ``(relation, row, witnesses)``
+        when ``tracked`` — for the ``touched`` groups whose fold moved, in
+        that order.  A group that lost its last member is forgotten and
+        says nothing: its last head row stays (no view healing).  An
+        announcing head lists every live group instead."""
+        moved = []
+        for key in touched:
+            g = groups.get(key)
+            if g is None:
+                continue
+            if not g[0]:
+                del groups[key]
+                continue
+            row = self._row(key, g)
+            if row != g[1]:
+                g[1] = row
+                moved.append(g)
+        if self.announce:
+            moved = groups.values()
+        name = self.head_name
+        if tracked:
+            return [(name, g[1], g[2]) for g in moved]
+        return [(name, g[1]) for g in moved]
+
+    def regroup(self, fresh: dict[Row, list], touched: Iterable[Row]) -> None:
+        """Replace the ``touched`` groups of the state by their refolds in
+        ``fresh`` (a touched group absent from it has lost every member),
+        keeping each one's last head row."""
+        for key in touched:
+            old = self.groups.pop(key, None)
+            g = fresh.get(key)
+            if g is not None:
+                g[1] = old and old[1]
+                self.groups[key] = g
 
 
 # ---------------------------------------------------------------------------
-# Aggregate folds (shared with the interpreted reference path)
+# Folds of a whole value list (the kinds that keep their values)
 # ---------------------------------------------------------------------------
 
 
@@ -1015,17 +1160,7 @@ def _sort_key(value: Any) -> tuple:
     return (type(value).__name__, repr(value))
 
 
-def aggregate(func: str, values: list[Any]) -> Any:
-    if func == "count":
-        return len(values)
-    if func == "sum":
-        return sum(values)
-    if func == "min":
-        return min(values)
-    if func == "max":
-        return max(values)
-    if func == "avg":
-        return sum(values) / len(values)
+def refold(func: str, values: list[Any]) -> Any:
     if func == "list":
         # A deterministic sorted tuple; mixed types fall back to a
         # type-name/repr ordering so the result is still reproducible.
@@ -1140,8 +1275,9 @@ def compile_rule(
 class RulePlans:
     """Every compiled plan for one rule: the full-evaluation plan, one
     delta plan per positive body atom, one removal plan per negated atom
-    that can drive the rule (:func:`removal_drives`), and the aggregate
-    wrapper when the head aggregates.
+    that can drive the rule (:func:`removal_drives`) and, when the head
+    aggregates, the fold (``agg``) with the plans its strategy adds:
+    ``retract@i`` per positive atom, and ``regroup``.
 
     With ``mode="source"`` each plan is additionally lowered to flat
     Python source (:mod:`repro.overlog.codegen`) the first time it runs;
@@ -1150,7 +1286,7 @@ class RulePlans:
     failures fall back to the closure step path plan-by-plan.
     """
 
-    __slots__ = ("rule", "full", "by_pos", "by_removed", "agg")
+    __slots__ = ("rule", "by_drive", "full", "by_pos", "by_removed", "agg")
 
     def __init__(
         self,
@@ -1160,34 +1296,47 @@ class RulePlans:
         mode: str = "closure",
     ):
         self.rule = rule
-        self.full = compile_rule(rule, None, catalog, functions)
-        self.by_removed: dict[int, JoinPlan] = {}
+        self.agg: Optional[AggregatePlan] = None
+        positions = range(len(rule.positives))
+        drives: list[Drive] = [None]
         if rule.is_aggregate:
-            # Aggregates are evaluated once per stratum over the full
-            # body (they read only lower strata), never delta-joined.
-            self.by_pos: tuple[JoinPlan, ...] = ()
-            self.agg: Optional[AggregatePlan] = AggregatePlan(
-                rule, self.full, functions
-            )
+            self.agg = AggregatePlan(rule, catalog, functions)
+            how = self.agg.strategy
+            if how == "per-step":
+                drives.append(self.agg.gate)
+            if how in ("state", "regroup"):
+                drives += [("delta", i) for i in positions]
+                drives += [("retract", i) for i in positions]
+            if how == "regroup":
+                drives.append(("regroup", None))
             kinds = ("envs", "agg")
         else:
-            self.by_pos = tuple(
-                compile_rule(rule, ("delta", pos), catalog, functions)
-                for pos in range(len(rule.positives))
-            )
-            self.by_removed = {
-                k: compile_rule(rule, ("removed", k), catalog, functions)
-                for k in removal_drives(rule, catalog) or ()
-            }
-            self.agg = None
+            drives += [("delta", i) for i in positions]
+            drives += [
+                ("removed", k) for k in removal_drives(rule, catalog) or ()
+            ]
             kinds = ("plain", "tracked")
-        if mode == "source":
-            for plan in self.plans:
+        self.by_drive: dict[Drive, JoinPlan] = {
+            drive: compile_rule(rule, drive, catalog, functions)
+            for drive in drives
+        }
+        self.full = self.by_drive[None]
+        self.by_pos = tuple(
+            plan for d, plan in self.by_drive.items() if d and d[0] == "delta"
+        )
+        self.by_removed = {
+            d[1]: plan
+            for d, plan in self.by_drive.items() if d and d[0] == "removed"
+        }
+        fold = describe_fold(rule, catalog) if rule.is_aggregate else None
+        for plan in self.plans:
+            plan.fold = fold
+            if mode == "source":
                 plan._codegen = (catalog, functions, kinds)
 
     @property
     def plans(self) -> list[JoinPlan]:
-        return [self.full, *self.by_pos, *self.by_removed.values()]
+        return list(self.by_drive.values())
 
     @property
     def sources(self) -> dict[str, str]:
@@ -1214,10 +1363,7 @@ class RulePlans:
             # hot-rules report keys on, so the two cross-reference by
             # rule id.
             lines.append(f"  fires: {fires} cumulative")
-        if self.agg is not None:
-            lines.append(self.agg.explain())
-        else:
-            lines += [p.explain() for p in self.plans]
+        lines += [p.explain() for p in self.plans]
         return "\n".join(lines)
 
 

@@ -34,11 +34,15 @@ class _StepStat:
 class _PlanStat:
     """Stats for one (rule, delta-position) plan."""
 
-    __slots__ = ("rule", "tag", "execs", "sampled", "time_ns", "steps", "rows_out")
+    __slots__ = (
+        "rule", "tag", "fold", "execs", "sampled", "time_ns", "steps",
+        "rows_out",
+    )
 
-    def __init__(self, rule: str, tag: str):
+    def __init__(self, rule: str, tag: str, fold: Optional[str] = None):
         self.rule = rule
         self.tag = tag
+        self.fold = fold     # aggregate rules: what the plan feeds
         self.execs = 0       # total executions (sampled or not)
         self.sampled = 0     # executions actually timed
         self.time_ns = 0     # total sampled plan time
@@ -61,9 +65,10 @@ class PlanProfiler:
 
     The evaluator calls :meth:`should_sample` on every plan execution;
     when it returns True, the execution is routed through
-    :meth:`run_plan` / :meth:`run_agg_plan`, which produce exactly the
-    same results as the plan's own ``execute``/``execute_tracked`` while
-    timing each step.
+    :meth:`run_plan`, which produces exactly the same results as the
+    plan's untimed path while timing each step.  An aggregate rule's
+    plans (``delta@i``, ``retract@i``, ...) are sampled under their own
+    tags like any other; the fold they feed is the evaluator's.
     """
 
     def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY):
@@ -96,7 +101,7 @@ class PlanProfiler:
         key = (plan.rule.name, plan.tag)
         stat = self._stats.get(key)
         if stat is None:
-            stat = _PlanStat(*key)
+            stat = _PlanStat(*key, plan.fold)
             self._stats[key] = stat
         plan._prof = stat
         return stat
@@ -129,39 +134,18 @@ class PlanProfiler:
             ss.envs_out += len(envs)
         return envs
 
-    def run_plan(self, plan, ev, delta_rows, exclude, tracked: bool) -> list:
+    def run_plan(
+        self, plan, ev, delta_rows, exclude, project, tracked: bool
+    ) -> list:
         """Execute ``plan`` with per-step timing; same results as the
-        plan's untimed path."""
+        plan's untimed path.  ``project(envs, tracked)`` turns the body
+        environments into what the caller stages: the plan's own head
+        projection, or an aggregate's contributions."""
         stat = plan._prof
         t_plan = perf_counter_ns()
         envs = self._run_steps(stat, plan.steps, ev, delta_rows, exclude)
-        if not envs:
-            out = []
-        else:
-            name = plan.head_name
-            fns = plan.head_fns
-            if tracked:
-                out = [
-                    (name, tuple(fn(env) for fn in fns), env)
-                    for env in envs
-                ]
-            else:
-                out = [
-                    (name, tuple(fn(env) for fn in fns)) for env in envs
-                ]
+        out = project(envs, tracked)
         stat.time_ns += perf_counter_ns() - t_plan
-        stat.sampled += 1
-        stat.rows_out += len(out)
-        return out
-
-    def run_agg_plan(self, plan, ev, tracked: bool) -> list:
-        """Execute an AggregatePlan, timing its body plan's steps (the
-        grouping fold itself is timed as part of the plan total)."""
-        stat = plan._prof
-        t0 = perf_counter_ns()
-        envs = self._run_steps(stat, plan.body.steps, ev, (), None)
-        out = _agg_fold(plan, envs, tracked)
-        stat.time_ns += perf_counter_ns() - t0
         stat.sampled += 1
         stat.rows_out += len(out)
         return out
@@ -184,6 +168,7 @@ class PlanProfiler:
             entry["sampled"] += stat.sampled
             entry["plans"].append({
                 "tag": stat.tag,
+                "fold": stat.fold,
                 "execs": stat.execs,
                 "sampled": stat.sampled,
                 "est_ms": est_ns / 1e6,
@@ -213,44 +198,3 @@ class PlanProfiler:
                 for s in p["steps"]:
                     s["time_ms"] = round(s["time_ms"], 3)
         return {"sample_every": self.sample_every, "rules": rules}
-
-
-def _agg_fold(plan, envs: list, tracked: bool) -> list:
-    """The grouping/fold half of AggregatePlan.execute(_tracked), applied
-    to pre-computed body environments."""
-    from ..overlog.plan import aggregate
-
-    group_fns = plan.group_fns
-    agg_specs = plan.agg_specs
-    groups: dict = {}
-    witnesses: dict = {}
-    for env in envs:
-        key = tuple(fn(env) for _, fn in group_fns)
-        values = tuple(
-            None if fn is None else fn(env) for _, _, fn in agg_specs
-        )
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [values]
-            if tracked:
-                witnesses[key] = [env]
-        elif tracked:
-            bucket.append(values)
-            witnesses[key].append(env)
-        else:
-            bucket.append(values)
-    out: list = []
-    for key, value_rows in groups.items():
-        row: list = [None] * plan.arity
-        for slot, (i, _fn) in enumerate(group_fns):
-            row[i] = key[slot]
-        for slot, (i, func, fn) in enumerate(agg_specs):
-            if fn is None:
-                row[i] = len(value_rows)
-            else:
-                row[i] = aggregate(func, [vr[slot] for vr in value_rows])
-        if tracked:
-            out.append((plan.head_name, tuple(row), tuple(witnesses[key])))
-        else:
-            out.append((plan.head_name, tuple(row)))
-    return out

@@ -58,7 +58,7 @@ program paxos_alerts;
 define(paxos_leader_count, keys(0), {Int, Float});
 
 pxa1 paxos_leader_count(0, sum<V>) :-
-        metric_sample(_, "paxos.is_leader", "gauge", V, _);
+        metric_sample(Node, "paxos.is_leader", "gauge", V, _);
 
 pxa2 alarm("paxos-no-leader", "cluster", S) :-
         paxos_leader_count(0, S), S == 0;

@@ -54,18 +54,20 @@ event(telemetry, 5);   /* node, metric, kind, payload, clock */
 m1 metric_sample(Node, Metric, Kind, Payload, Clock) :-
         telemetry(Node, Metric, Kind, Payload, Clock);
 
-/* counters and numeric gauges sum across nodes */
+/* counters and numeric gauges sum across nodes.  The node is named, not
+   wildcarded: aggregates fold distinct *bindings*, and with the node
+   projected away two nodes reporting the same value are one binding */
 m2 rollup_counter(Metric, sum<V>) :-
-        metric_sample(_, Metric, "counter", V, _);
+        metric_sample(Node, Metric, "counter", V, _);
 m3 rollup_gauge(Metric, sum<V>) :-
-        metric_sample(_, Metric, "gauge", V, _);
+        metric_sample(Node, Metric, "gauge", V, _);
 
 /* distribution sketches merge: per-node digests fold into one cluster
    digest (histograms ship their t-digest, so they merge identically) */
 m4 rollup_digest(Metric, percentile<D>) :-
-        metric_sample(_, Metric, "percentile", D, _);
+        metric_sample(Node, Metric, "percentile", D, _);
 m5 rollup_digest(Metric, percentile<D>) :-
-        metric_sample(_, Metric, "histogram", D, _);
+        metric_sample(Node, Metric, "histogram", D, _);
 m6 rollup_percentile(Metric, N, P50, P99, P999) :-
         rollup_digest(Metric, D),
         N := f_sketch_count(D),
@@ -75,7 +77,7 @@ m6 rollup_percentile(Metric, N, P50, P99, P999) :-
 
 /* cardinality sketches union register-wise */
 m7 rollup_distinct(Metric, count_distinct_approx<D>) :-
-        metric_sample(_, Metric, "distinct", D, _);
+        metric_sample(Node, Metric, "distinct", D, _);
 """
 
 

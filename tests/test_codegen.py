@@ -87,7 +87,6 @@ class TestGeneratedSource:
         rt = make_runtime(AGG_SRC)
         src = rt.generated_source("g1")
         assert "agg" in src
-        # Single-spec aggregates carry the bare value, not a 1-tuple.
         assert "count" in rt.explain("g1")
 
     def test_lower_tiers_have_no_source(self):

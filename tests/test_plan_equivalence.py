@@ -31,7 +31,11 @@ row per key per step, which displaces rows without any order to be
 sensitive to.  Every other seed also negates a relation that a selective
 delete rule empties a little at a time, so rows leave relations read
 under ``notin`` (deletion and displacement) in a guaranteed share of the
-programs and the removal-driven plans run in all five variants.
+programs and the removal-driven plans run in all five variants.  The
+same seeds aggregate over that shrinking relation, every third seed
+aggregates over ``k0`` and every fourth hides a column of the aggregated
+relation behind a wildcard (or all of them), so retraction, displacement
+and the distinct-bindings rule reach aggregate fold state too.
 """
 
 import random
@@ -40,6 +44,7 @@ import pytest
 
 from repro.overlog import OverlogRuntime
 from repro.overlog.ast import (
+    AggSpec,
     Assign,
     Atom,
     BinOp,
@@ -106,17 +111,28 @@ class ProgramGenerator:
     # -- body construction --------------------------------------------------
 
     def make_body(
-        self, min_atoms: int = 1, max_atoms: int = 2, sources=None
+        self, min_atoms: int = 1, max_atoms: int = 2, sources=None,
+        first=None, hide: bool = False,
     ) -> tuple[list, list[Var]]:
-        """A random join chain; returns (body elements, bound variables)."""
+        """A random join chain; returns (body elements, bound variables).
+        ``first`` names the first atom's relation; ``hide`` puts a
+        wildcard in one of its columns, or in all of them."""
         rng = self.rng
         body: list = []
         bound: list[Var] = []
-        for _ in range(rng.randint(min_atoms, max_atoms)):
+        for n in range(rng.randint(min_atoms, max_atoms)):
             name, arity = rng.choice(sources or self.sources)
+            hidden: tuple = ()
+            if n == 0 and first is not None:
+                name, arity = first
+                if hide:
+                    hidden = (
+                        range(arity) if rng.random() < 0.3
+                        else (rng.randrange(arity),)
+                    )
             args = []
-            for _col in range(arity):
-                roll = rng.random()
+            for col in range(arity):
+                roll = 0.0 if col in hidden else rng.random()
                 if roll < 0.15:
                     args.append(Var("_"))  # wildcard joins need dedup
                 elif roll < 0.35 and bound:
@@ -245,18 +261,30 @@ class ProgramGenerator:
         )
         self.sources.append((name, arity))
 
-    def add_aggregate_rule(self, index: int) -> None:
-        from repro.overlog.ast import AggSpec
-
+    def add_aggregate_rule(
+        self, index: int, over=None, hide: bool = False
+    ) -> None:
+        """``over`` names a stored relation the body starts from; it then
+        joins stored relations only, so the rule keeps fold state across
+        steps (an event atom would make it fold each step afresh)."""
         name = f"d{index}"
-        body, bound = self.make_body(min_atoms=1, max_atoms=2)
+        body, bound = self.make_body(
+            min_atoms=2 if hide else 1,
+            max_atoms=2,
+            sources=over and [s for s in self.sources if s[0] != "e0"],
+            first=over,
+            hide=hide,
+        )
         if len(bound) < 2:
             self.add_join_rule(index)
             return
         group, val = bound[0], bound[-1]
-        func = self.rng.choice(("count", "sum", "min", "max"))
+        func = self.rng.choice(("count", "sum", "min", "max", "avg", "list"))
         spec_var = Var("_") if func == "count" and self.rng.random() < 0.3 else val
-        self.decls.append(TableDecl(name, (), ("Int", "Int")))
+        whole = func not in ("avg", "list")
+        self.decls.append(
+            TableDecl(name, (), ("Int", "Int" if whole else "Any"))
+        )
         self.rules.append(
             Rule(
                 self.rule_name("agg"),
@@ -264,7 +292,9 @@ class ProgramGenerator:
                 tuple(body),
             )
         )
-        self.sources.append((name, 2))
+        if whole:
+            # Later rules do modular arithmetic on what they read.
+            self.sources.append((name, 2))
 
     def add_deferred_rule(self, index: int) -> None:
         name = f"d{index}"
@@ -328,18 +358,28 @@ class ProgramGenerator:
 
     # -- top level ----------------------------------------------------------
 
-    def generate(self, negate_deleted: bool = False) -> Program:
+    def generate(self, seed: int = 1) -> Program:
         self.base_relations()
         kinds = ["join", "recursive", "negation", "aggregate", "deferred"]
         n_derived = self.rng.randint(3, 5)
         for i in range(n_derived):
             kind = self.rng.choice(kinds)
             getattr(self, f"add_{kind}_rule")(i)
-        if negate_deleted:
-            # A relation read under ``notin`` that also loses rows.
+        hide = seed % 4 == 1
+        if seed % 2 == 0:
+            # A relation read under ``notin`` and folded by an aggregate
+            # that also loses rows.
             self.shrinking = self.rng.choice(self.stored_bases())
             self.add_negation_rule(n_derived, negate=self.shrinking)
             self.add_delete_rule(target=self.shrinking)
+            self.add_aggregate_rule(n_derived + 1, over=self.shrinking)
+        if seed % 3 == 0:
+            self.add_aggregate_rule(n_derived + 2, over=("k0", 2), hide=hide)
+        elif hide:
+            self.add_aggregate_rule(
+                n_derived + 2, over=self.rng.choice(self.stored_bases()),
+                hide=True,
+            )
         if self.rng.random() < 0.6:
             self.add_delete_rule()
         if self.rng.random() < 0.6:
@@ -423,7 +463,7 @@ def run_variant(program, batches, **kwargs):
 def test_compiled_plans_match_reference_and_naive(seed):
     rng = random.Random(seed)
     gen = ProgramGenerator(rng)
-    program = gen.generate(negate_deleted=seed % 2 == 0)
+    program = gen.generate(seed)
     batches = gen.workload()
 
     compiled = run_variant(program, batches)  # source-codegen tier (default)

@@ -290,6 +290,33 @@ class TestMonitorRollups:
         assert monitor.rollup_counters() == {"ops": 12}
         assert monitor.rollup_gauges() == {"depth": 5.5}
 
+    def test_equal_values_from_different_nodes_all_count(self):
+        # Aggregates fold distinct bindings: the rollup rules name the
+        # node so two nodes reporting one value stay two bindings.
+        d, h = TDigest(), HyperLogLog()
+        d.extend(range(100))
+        h.extend(f"u{i}" for i in range(50))
+        cluster, monitor = _monitor_cluster()
+        _feed(
+            cluster,
+            monitor,
+            [
+                ("n1", "ops", "counter", 5, 1),
+                ("n2", "ops", "counter", 5, 1),
+                ("n3", "ops", "counter", 7, 1),
+                ("n1", "depth", "gauge", 2.5, 1),
+                ("n2", "depth", "gauge", 2.5, 1),
+                ("n1", "lat", "percentile", d.to_payload(), 1),
+                ("n2", "lat", "percentile", d.to_payload(), 1),
+                ("n1", "users", "distinct", h.to_payload(), 1),
+                ("n2", "users", "distinct", h.to_payload(), 1),
+            ],
+        )
+        assert monitor.rollup_counters() == {"ops": 17}
+        assert monitor.rollup_gauges() == {"depth": 5.0}
+        assert monitor.rollup_percentiles()["lat"][0] == 200
+        assert abs(monitor.rollup_distincts()["users"] - 50) <= 3  # a union
+
     def test_latest_sample_wins_per_node_metric(self):
         cluster, monitor = _monitor_cluster()
         _feed(cluster, monitor, [("n1", "ops", "counter", 5, 1)])
@@ -386,6 +413,19 @@ class TestAlertPacks:
         assert ("paxos-no-leader", "cluster", 0) in monitor.alarms()
         _feed(cluster, monitor, [("r1", "paxos.is_leader", "gauge", 1, 2)])
         assert monitor.alarms() == []
+
+    def test_two_leaders_are_counted_as_two(self):
+        cluster, monitor = _monitor_cluster()
+        _feed(
+            cluster,
+            monitor,
+            [
+                ("r1", "paxos.is_leader", "gauge", 1.0, 1),
+                ("r2", "paxos.is_leader", "gauge", 1.0, 1),
+                ("r3", "paxos.is_leader", "gauge", 0.0, 1),
+            ],
+        )
+        assert monitor.runtime.rows("paxos_leader_count") == [(0, 2.0)]
 
     def test_stalled_link_alarm(self):
         cluster, monitor = _monitor_cluster()
