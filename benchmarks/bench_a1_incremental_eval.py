@@ -3,9 +3,9 @@
 The engine's three throughput-critical design choices are (1) semi-naive
 delta evaluation with exactly-once firing, (2) cross-step activity
 gating (a rule is only re-seeded when a relation it reads changed), and
-(3) compiled join plans (rules pre-compiled into index-probing closures
-at install time, see docs/EVALUATOR.md).  ``compile_plans=False`` falls
-back to the AST-walking interpreter; ``naive=True`` disables all three.
+(3) compiled plans (each rule body lowered to generated Python source,
+see docs/EVALUATOR.md).  ``engine="interpreter"`` keeps (1) and (2) but
+walks the rule ASTs; ``engine="naive"`` disables all three.
 
 Workload: grow a transitive closure one edge per timestep (the shape of
 every recursive view in BOOM-FS, e.g. ``fqpath``) and count work.  The
@@ -33,8 +33,8 @@ reach(X, Z) :- edge(X, Y), reach(Y, Z);
 """
 
 
-def run_one(naive: bool = False, compile_plans: bool = True):
-    rt = OverlogRuntime(PROGRAM, naive=naive, compile_plans=compile_plans)
+def run_one(engine: str = "source"):
+    rt = OverlogRuntime(PROGRAM, engine=engine)
     warm_plans(rt)
     start = time.perf_counter()
     for i in range(EDGES):
@@ -49,8 +49,8 @@ def run_one(naive: bool = False, compile_plans: bool = True):
 def run_experiment():
     return {
         "compiled plans (default)": run_one(),
-        "semi-naive interpreter": run_one(compile_plans=False),
-        "naive fixpoint": run_one(naive=True),
+        "semi-naive interpreter": run_one("interpreter"),
+        "naive fixpoint": run_one("naive"),
     }
 
 
@@ -77,7 +77,7 @@ def build_report(results) -> str:
         "\nNaive evaluation re-derives the whole closure on every step;\n"
         "incremental semi-naive evaluation is what keeps per-operation cost\n"
         "bounded as recursive views (like BOOM-FS's fqpath) grow, and\n"
-        "compiling rules into cached join plans removes the AST walk from\n"
+        "compiling rules into generated source removes the AST walk from\n"
         "the remaining hot path.  Naive mode is also unsound for rules\n"
         "using f_newid()/f_uid() — the exactly-once firing discipline is a\n"
         "correctness feature, not just an optimization."

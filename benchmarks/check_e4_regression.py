@@ -2,7 +2,7 @@
 
 Compares a freshly written ``benchmarks/reports/e4_metadata_throughput.json``
 against the committed reference ``benchmarks/reports/e4_codegen_baseline.json``
-and exits nonzero when the source-codegen tier regresses:
+and exits nonzero when the generated-source engine regresses:
 
 * the BOOM-FS / imperative-baseline wall-time ratio may not grow by more
   than ``--tolerance`` (default 20%) over the committed ratio — ratios
@@ -11,7 +11,7 @@ and exits nonzero when the source-codegen tier regresses:
   ``envelopes``) must match the baseline exactly for every row both
   files share — a drift here means evaluator semantics changed, not
   just speed;
-* the tier ordering must hold: generated source strictly cheaper than
+* the engine ordering must hold: generated source strictly cheaper than
   the reference interpreter.
 
 Regenerate the committed baseline after an intentional perf change::
@@ -104,7 +104,7 @@ def check(tolerance: float) -> int:
     if BOOM in rows and INTERP in rows:
         if rows[BOOM]["wall_us_per_op"] >= rows[INTERP]["wall_us_per_op"]:
             failures.append(
-                "tier inversion: source-codegen tier is not faster than "
+                "engine inversion: generated source is not faster than "
                 "the reference interpreter"
             )
 

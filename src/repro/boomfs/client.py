@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..sim.network import Address
+from ..transport import Address
 from ..sim.node import Process
 from ..sim.simulator import EventHandle
 from .chunks import DEFAULT_CHUNK_SIZE, assemble_chunks, split_chunks

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..sim.network import Address
+from ..transport import Address
 from ..sim.node import Process
 
 

@@ -26,7 +26,7 @@ import itertools
 from typing import Any, Callable, Optional
 
 from ..overlog.functions import stable_hash
-from ..sim.network import Address
+from ..transport import Address
 from ..sim.node import Process
 from .chunks import DEFAULT_CHUNK_SIZE
 from .client import IDEMPOTENT_ERRORS, FSError, FSSession, FSTimeout

@@ -16,7 +16,7 @@ import itertools
 from typing import Any, Optional
 
 from ..overlog.functions import stable_hash
-from ..sim.network import Address
+from ..transport import Address
 from ..sim.node import Process
 
 ROOT_FILE_ID = 0

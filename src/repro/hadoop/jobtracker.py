@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..mapreduce.types import JobSpec
-from ..sim.network import Address
+from ..transport import Address
 from ..sim.node import Process
 
 

@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 from ..boomfs.client import FSSession
 from ..overlog.functions import stable_hash
-from ..sim.network import Address
+from ..transport import Address
 from ..sim.node import Process
 from ..sim.simulator import EventHandle
 from .types import JobSpec, partition_for, reduce_index

@@ -59,8 +59,8 @@ def hot_rules_json(report: dict) -> str:
 
 def render_hot_rules(report: dict) -> str:
     """Text rendering of a profiler hot-rules report: rules ranked by
-    estimated time, each broken down per plan and per step.  Step
-    indexes match ``explain()`` output for the same rule."""
+    estimated time, each broken down per plan, with the plan's steps.
+    Step indexes and lines match ``explain()`` output for the rule."""
     lines = [
         "== hot rules (sampled 1/"
         f"{report['sample_every']} plan executions, scaled estimates) =="
@@ -81,12 +81,10 @@ def render_hot_rules(report: dict) -> str:
                 f"  [{plan['tag']}]{fold} est {plan['est_ms']:.3f} ms over "
                 f"{plan['execs']} execs, {plan['rows_out']} sampled rows out"
             )
-            for step in plan["steps"]:
-                lines.append(
-                    f"    {step['step']}. {step['describe']:<44} "
-                    f"{step['time_ms']:>8.3f} ms  "
-                    f"envs-out {step['envs_out']}"
-                )
+            lines += [
+                f"    {step['step']}. {step['describe']}"
+                for step in plan["steps"]
+            ]
     return "\n".join(lines)
 
 

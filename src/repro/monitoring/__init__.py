@@ -16,12 +16,6 @@ from ..telemetry.alerts import (
     TRANSPORT_ALERTS,
 )
 from ..telemetry.monitor import ALARM_RELATION, MonitorProcess
-from .bloomunit import (
-    EXPECT_RELATION,
-    FAILED_RELATION,
-    DeclarativeTest,
-    TestResult,
-)
 from .global_invariants import (
     GLOBAL_BOOMFS_INVARIANTS,
     GLOBAL_INVARIANT_PACKS,
@@ -54,9 +48,6 @@ __all__ = [
     "BOOMFS_ALERTS",
     "BOOMFS_INVARIANTS",
     "DEFAULT_ALERT_PACKS",
-    "DeclarativeTest",
-    "EXPECT_RELATION",
-    "FAILED_RELATION",
     "GLOBAL_BOOMFS_INVARIANTS",
     "GLOBAL_INVARIANT_PACKS",
     "GLOBAL_PAXOS_INVARIANTS",
@@ -68,7 +59,6 @@ __all__ = [
     "PAXOS_INVARIANTS",
     "TRACE_RELATION",
     "TRANSPORT_ALERTS",
-    "TestResult",
     "TraceCollector",
     "VIOLATION_RELATION",
     "add_relation_tracing",

@@ -9,7 +9,7 @@ Storage layout
 --------------
 
 Rows are Python tuples, keyed by primary key in ``_rows`` — that dict is
-the ground truth and what ``lookup_key`` (the codegen tier's PK fast path,
+the ground truth and what ``lookup_key`` (generated source's PK fast path,
 see :mod:`repro.overlog.codegen`) reads with a single hash probe.  Around
 it the table keeps *derived* columnar structures, all built lazily and
 invalidated by a version counter:

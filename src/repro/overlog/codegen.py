@@ -1,30 +1,23 @@
-"""Source-code generation: the third evaluator tier.
+"""Source-code generation: the evaluator's engine.
 
-The closure-compiled join plans (:mod:`repro.overlog.plan`) removed the
-per-tuple AST walk, but still pay for generality on every execution: a
-chain of ``step.run`` calls, an environment *dict* copied at every
-binding step, probe values re-tupled per environment, and a Python-level
-dispatch per step kind.  This module compiles each plan one level
-further, to actual Python source: one flat ``exec``-generated function
-per (rule × drive × output shape), following the execution order
-``plan.body_order`` hands in, where
+Every cached plan (:mod:`repro.overlog.plan`) runs as Python source: one
+flat ``exec``-generated function per (rule × drive × output shape),
+following the execution order ``plan.body_order`` hands in, where
 
-* body atoms become **nested loops and ``if`` guards** — the depth-first
-  enumeration order of a nested loop provably equals the breadth-first
-  order of the step pipeline (each step emits, per input environment, its
-  matches in candidate-row order), so outputs are bit-identical;
+* body atoms become **nested loops and ``if`` guards**, so a binding
+  costs no intermediate environment list;
 * variable bindings become **Python locals** (``v_Name``), not dict
-  entries — the per-step ``dict(env)`` copy disappears entirely;
-* expressions are emitted as **inline Python expressions** with the same
-  evaluation order, short-circuiting, integer-division and
-  error-wrapping semantics as ``compile_expr`` (builtins still route
-  through ``FunctionLibrary.call``, so late registration and error
-  wrapping behave identically);
-* an atom whose probed columns cover the table's **primary key** becomes
-  a single ``Table.lookup_key`` dict get — no index, no loop, no
-  candidate list.  This is the NameNode fast path: BOOM-FS metadata
-  tables (``fqpath``, ``file``, ``fchunk``) are keyed on their first
-  column, so a request rule's body collapses to a chain of dict lookups.
+  entries;
+* expressions are emitted as **inline Python expressions** with the
+  interpreter's evaluation order, short-circuiting, integer division and
+  error wrapping (builtins still route through ``FunctionLibrary.call``,
+  so late registration and error wrapping behave identically);
+* an atom reads its rows through the access path :func:`access_path`
+  picks: the driving rows, a **primary-key get** when the bound columns
+  cover the table's key (the NameNode fast path: ``fqpath``, ``file``,
+  ``fchunk`` are keyed on their first column, so a request rule's body
+  collapses to a chain of dict lookups), a composite index probe on every
+  bound column, or a scan.
 
 Four output shapes are emitted per plan: ``plain`` (head tuples, the
 default hot path), ``tracked`` (head tuples plus the final binding
@@ -32,14 +25,15 @@ environment as a dict — what the provenance ledger consumes), ``envs``
 (binding environments only — the tracked-aggregate input), and ``agg``
 (the bindings' aggregated-values tuples, batched per group key in a dict
 — the untracked aggregate fold's input, skipping the environment dict
-entirely).
-Wildcard-step deduplication uses a tuple of the bound locals in sorted
-name order, which discriminates exactly like the closure tier's
+entirely).  Wildcard-step deduplication uses a tuple of the bound locals
+in sorted name order, which discriminates exactly like the interpreter's
 ``frozenset(env.items())`` because the key set is fixed per step.
 
-Anything the emitter does not recognize raises :class:`Unsupported` and
-the caller (``JoinPlan.generate``) silently keeps the closure tier for
-that plan — codegen is an overlay, never a semantic fork.
+:func:`describe_steps` renders the same access paths as the step lines
+of the source header, ``explain()`` and the profiler's report, so the
+three cannot disagree with the code.  A rule shape the emitter declines
+(:class:`Unsupported`) runs through the AST interpreter instead
+(``JoinPlan.generate``), which is the engine's semantics, not a fork.
 
 What emission produces depends on the rule, the drive and the
 declarations of the tables the body reads — not on the runtime — so it
@@ -50,7 +44,7 @@ runtime only ``exec``s the code into a namespace of its own tables.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional
+from typing import Any, Container, NamedTuple, Optional
 
 from .ast import AggSpec, Assign, Atom, BinOp, Cond, Const, Expr, FuncCall, NotIn, Rule, UnOp, Var
 from .catalog import Catalog, Table
@@ -63,11 +57,11 @@ _DIRECT_BINOPS = {"+", "-", "*", "%", "==", "!=", "<", "<=", ">", ">="}
 
 # Stateful builtins whose *call order* is observable (fresh ids, RNG
 # draws).  The nested-loop (depth-first) enumeration calls expression
-# sites in a different global interleaving than the closure tier's
+# sites in a different global interleaving than the interpreter's
 # step-at-a-time (breadth-first) order when more than one body/head
-# element contains such a call — so those rules stay on the closure
-# tier.  With at most one stateful site, environments reach it in the
-# same order under both schedules and the call sequences coincide.
+# element contains such a call — so those rules run through the
+# interpreter.  With at most one stateful site, environments reach it in
+# the same order under both schedules and the call sequences coincide.
 ORDER_SENSITIVE_FUNCTIONS = frozenset(
     {"f_newid", "f_uid", "f_rand", "f_randint"}
 )
@@ -116,7 +110,7 @@ _INLINE_CONSTS = (int, str, float, bool, type(None))
 
 def atom_needs_dedup(atom: Atom, table: Any = None) -> bool:
     """Whether an atom step can map distinct rows onto the same binding
-    (and so needs the per-step dedup both tiers otherwise skip).
+    (and so needs the dedup generated source otherwise skips).
 
     Only wildcard columns can collapse distinct rows.  And when the atom
     enumerates *live rows of a keyed table* whose key columns are all
@@ -142,8 +136,87 @@ def atom_needs_dedup(atom: Atom, table: Any = None) -> bool:
 
 
 class Unsupported(Exception):
-    """Raised when a rule shape cannot be emitted; caller falls back to
-    the closure tier."""
+    """Raised when a rule shape cannot be emitted; the plan then runs
+    through the interpreter, and ``explain()`` says so with the reason."""
+
+
+class Access(NamedTuple):
+    """How a body atom reads its candidate rows.
+
+    ``kind`` is ``delta`` (the plan's driving rows), ``pk-get`` (one
+    ``Table.lookup_key`` on ``key``), ``probe`` (the composite index on
+    ``probe``), ``scan`` (every stored row) or ``scan-events`` (this
+    step's event pool).  ``probe`` lists every column the access pins —
+    each constant and previously-bound variable — also under ``pk-get``,
+    where the non-key ones are checked on the fetched row."""
+
+    kind: str
+    probe: tuple[int, ...] = ()
+    key: tuple[int, ...] = ()
+
+    def __str__(self) -> str:
+        if self.kind == "pk-get":
+            return f"pk-get [{', '.join(map(str, self.key))}]"
+        if self.kind == "probe":
+            return f"probe [{', '.join(map(str, self.probe))}]"
+        return self.kind
+
+
+def access_path(
+    atom: Atom, view: Optional[str], bound: Container[str], catalog: Catalog
+) -> Access:
+    """The access path of ``atom`` when the variables in ``bound`` are
+    bound and it reads ``view`` (``None`` for a ``notin``): what the
+    emitter generates and what :func:`describe_steps` prints."""
+    if view == "delta":
+        return Access("delta")
+    table = catalog.tables.get(atom.name)
+    if table is None:
+        return Access("scan-events")
+    probe = tuple(
+        col
+        for col, a in enumerate(atom.args)
+        if isinstance(a, Const)
+        or (isinstance(a, Var) and not a.is_wildcard and a.name in bound)
+    )
+    if not probe:
+        return Access("scan")
+    keys = table.decl.keys or tuple(range(table.decl.arity))
+    if set(keys) <= set(probe):
+        return Access("pk-get", probe, tuple(keys))
+    return Access("probe", probe)
+
+
+def describe_steps(order: list, catalog: Catalog) -> tuple[str, ...]:
+    """One line per element of a ``plan.body_order`` result: the atom and
+    its access path (``\\ delta`` when it reads full-minus-delta,
+    ``[dedup]`` when distinct rows can share a binding), ``antijoin`` for
+    a ``notin``, ``assign`` / ``check`` / ``filter`` for the rest."""
+    bound: set[str] = set()
+    lines = []
+    for elem, view in order:
+        if isinstance(elem, Atom):
+            line = f"{elem.name}: {access_path(elem, view, bound, catalog)}"
+            if view == "full-minus-delta":
+                line += " \\ delta"
+            table = None if view == "delta" else catalog.tables.get(elem.name)
+            if atom_needs_dedup(elem, table):
+                line += " [dedup]"
+            bound |= {
+                a.name for a in elem.args
+                if isinstance(a, Var) and not a.is_wildcard
+            }
+        elif isinstance(elem, NotIn):
+            access = access_path(elem.atom, None, bound, catalog)
+            line = f"antijoin {elem.atom.name}: {access}"
+        elif isinstance(elem, Assign):
+            name = elem.var.name
+            line = f"{'check' if name in bound else 'assign'} {name}"
+            bound.add(name)
+        else:
+            line = f"filter {elem}"
+        lines.append(line)
+    return tuple(lines)
 
 
 def _overlog_div(a: Any, b: Any) -> Any:
@@ -176,7 +249,6 @@ class _Emitter:
         self.n = 0
         self.preamble: list[str] = []
         self.body: list[str] = []
-        self.notes: list[str] = []
         ns["_div"] = _overlog_div
         ns["_wild"] = _wildcard_value
         ns["_unbound"] = _unbound
@@ -262,9 +334,10 @@ class _Emitter:
         bind_temp: bool,
     ) -> int:
         """Emit the per-row unification for ``atom`` (binds + checks, in
-        strict column order, matching ``_compile_matcher``).  Returns the
-        indent level of the matched block.  ``bind_temp`` binds new
-        variables to throwaway temps (negation) instead of ``v_`` locals.
+        strict column order, like the interpreter's ``match_atom``).
+        Returns the indent level of the matched block.  ``bind_temp``
+        binds new variables to throwaway temps (negation) instead of
+        ``v_`` locals.
         """
         conds: list[str] = []
         if needs_len:
@@ -300,58 +373,67 @@ class _Emitter:
                 conds.append(f"({self.expr(arg, varmap)}) == {row}[{col}]")
         return flush(indent)
 
-    # -- probe analysis -----------------------------------------------------
-
-    def probe_spec(
-        self, atom: Atom, varmap: dict[str, str]
-    ) -> list[tuple[int, str]]:
-        """(column, value-expression) pairs usable as an index probe —
-        every constant argument and every previously-bound variable (the
-        same most-bound composite key ``_probe_spec`` picks)."""
-        out: list[tuple[int, str]] = []
-        for col, arg in enumerate(atom.args):
-            if isinstance(arg, Const):
-                out.append((col, self.const_expr(arg.value)))
-            elif (
-                isinstance(arg, Var)
-                and not arg.is_wildcard
-                and arg.name in varmap
-            ):
-                out.append((col, varmap[arg.name]))
-        return out
-
-    def pk_cols(self, atom: Atom, probe_cols: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """The table's key columns when the probe covers them (the PK
-        fast path: the probe pins the whole primary key, so at most one
-        row can match — fetch it with one dict get)."""
-        table = self.catalog.tables.get(atom.name)
-        if table is None:
-            return None
-        keys = table.decl.keys or tuple(range(table.decl.arity))
-        if keys and set(keys) <= set(probe_cols):
-            return keys
-        return None
-
-    def needs_wildcard_dedup(self, atom: Atom, source: str) -> bool:
-        """Whether this atom step needs the wildcard dedup set.
-
-        Shares :func:`atom_needs_dedup`'s proof: when live rows of a
-        keyed table are enumerated and the non-wildcard columns cover
-        the primary key, duplicates are impossible and the dedup is a
-        skippable no-op.  Driving lists are excluded — they may hold two
-        same-key row versions.
-        """
-        return atom_needs_dedup(
-            atom,
-            None if source == "delta" else self.catalog.tables.get(atom.name),
-        )
-
     # -- body elements ------------------------------------------------------
+
+    def probe_values(
+        self, atom: Atom, access: Access, varmap: dict[str, str]
+    ) -> dict[int, str]:
+        """Column -> value expression for every column ``access`` pins."""
+        values = {}
+        for col in access.probe:
+            arg = atom.args[col]
+            values[col] = (
+                self.const_expr(arg.value) if isinstance(arg, Const)
+                else varmap[arg.name]
+            )
+        return values
+
+    def emit_candidates(
+        self, atom: Atom, access: Access, row: str, indent: int,
+        varmap: dict[str, str],
+    ) -> int:
+        """Emit the loop (or, for ``pk-get``, the single fetch and guard)
+        that binds ``row`` to each candidate row of ``atom``; returns the
+        indent of the candidate block."""
+        if access.kind == "delta":
+            self.w(indent, f"for {row} in delta_rows:")
+            return indent + 1
+        if access.kind == "scan-events":
+            self.w(indent, f"for {row} in ev._event_pool.get({atom.name!r}, _E):")
+            return indent + 1
+        tbl = self.table_ref(atom.name)
+        if access.kind == "scan":
+            self.w(indent, f"for {row} in {tbl}.rows_list():")
+            return indent + 1
+        values = self.probe_values(atom, access, varmap)
+        if access.kind == "pk-get":
+            # lookup_key pins only the key columns; the other probed
+            # columns are checked before any matcher op, so the candidate
+            # set is exactly the composite probe's.
+            key_expr = ", ".join(values[c] for c in access.key) + ","
+            self.w(indent, f"{row} = {tbl}.lookup_key(({key_expr}))")
+            guard = [f"{row} is not None"] + [
+                f"{val} == {row}[{col}]"
+                for col, val in values.items()
+                if col not in access.key
+            ]
+            self.w(indent, "if " + " and ".join(guard) + ":")
+            return indent + 1
+        if len(values) == 1:
+            ((col, val),) = values.items()
+            # _ref: the live index bucket, uncopied — safe because this
+            # function materializes its output before returning.
+            self.w(indent, f"for {row} in {tbl}.rows_matching_ref({col}, {val}):")
+        else:
+            cols = ", ".join(map(str, values)) + ","
+            vals = ", ".join(values.values()) + ","
+            self.w(indent, f"for {row} in {tbl}.rows_matching_cols(({cols}), ({vals})):")
+        return indent + 1
 
     def emit_atom(
         self, atom: Atom, source: str, indent: int, varmap: dict[str, str]
     ) -> int:
-        materialized = self.catalog.is_materialized(atom.name)
+        access = access_path(atom, source, varmap, self.catalog)
         row = self.tmp("r")
         ban = None
         if source == "full-minus-delta":
@@ -359,88 +441,21 @@ class _Emitter:
             self.preamble.append(
                 f"{ban} = None if exclude is None else exclude.get({atom.name!r})"
             )
-
-        probe: list[tuple[int, str]] = []
-        if materialized and source != "delta":
-            probe = self.probe_spec(atom, varmap)
-        probe_cols = tuple(c for c, _ in probe)
-        probed: set[int] = set(probe_cols)
-        needs_len = True
-        pk = self.pk_cols(atom, probe_cols) if probe else None
-
-        if source == "delta":
-            self.notes.append(f"{atom.name}: delta")
-            self.w(indent, f"for {row} in delta_rows:")
-            indent += 1
-        elif pk is not None:
-            # lookup_key pins only the key columns, but the closure tier's
-            # composite index pinned *every* probed column — so the non-key
-            # probed checks run here, before any matcher op, keeping the
-            # candidate set (and hence downstream expression evaluations)
-            # identical to the closure tier's.
-            by_col = dict(probe)
-            key_expr = ", ".join(by_col[c] for c in pk) + ","
-            tbl = self.table_ref(atom.name)
-            self.notes.append(
-                f"{atom.name}: pk-get [{', '.join(map(str, pk))}]"
-            )
-            self.w(indent, f"{row} = {tbl}.lookup_key(({key_expr}))")
-            guard = [f"{row} is not None"] + [
-                f"{val} == {row}[{col}]"
-                for col, val in probe
-                if col not in pk
-            ]
-            self.w(indent, "if " + " and ".join(guard) + ":")
-            indent += 1
-            needs_len = False
-        elif materialized and probe:
-            tbl = self.table_ref(atom.name)
-            self.notes.append(
-                f"{atom.name}: probe [{', '.join(map(str, probe_cols))}]"
-            )
-            if len(probe) == 1:
-                col, val = probe[0]
-                # _ref: the live index bucket, uncopied — safe because
-                # this function materializes its output before returning.
-                self.w(
-                    indent,
-                    f"for {row} in {tbl}.rows_matching_ref({col}, {val}):",
-                )
-            else:
-                cols = ", ".join(str(c) for c in probe_cols) + ","
-                vals = ", ".join(v for _, v in probe) + ","
-                self.w(
-                    indent,
-                    f"for {row} in {tbl}.rows_matching_cols(({cols}), ({vals})):",
-                )
-            indent += 1
-            needs_len = False
-        elif materialized:
-            tbl = self.table_ref(atom.name)
-            self.notes.append(f"{atom.name}: scan")
-            self.w(indent, f"for {row} in {tbl}.rows_list():")
-            indent += 1
-            needs_len = False
-        else:
-            self.notes.append(f"{atom.name}: scan-events")
-            self.w(
-                indent,
-                f"for {row} in ev._event_pool.get({atom.name!r}, _E):",
-            )
-            indent += 1
-
+        indent = self.emit_candidates(atom, access, row, indent, varmap)
         if ban is not None:
             self.w(indent, f"if {ban} is None or {row} not in {ban}:")
             indent += 1
-
+        # Driving rows and event pools are unchecked lists: test arity.
+        needs_len = access.kind in ("delta", "scan-events")
         indent = self.emit_match(
-            atom, row, indent, varmap, probed, needs_len, bind_temp=False
+            atom, row, indent, varmap, set(access.probe), needs_len,
+            bind_temp=False,
         )
-
-        if self.needs_wildcard_dedup(atom, source):
+        table = None if source == "delta" else self.catalog.tables.get(atom.name)
+        if atom_needs_dedup(atom, table):
             # Wildcard columns can map distinct rows onto the same
             # binding; dedup on the bound locals (fixed key set ⇒ same
-            # discriminator as the closure tier's frozenset(env.items())).
+            # discriminator as the interpreter's frozenset(env.items())).
             seen = self.tmp("seen")
             self.preamble.append(f"{seen} = set()")
             sig = self.tmp("sig")
@@ -452,63 +467,17 @@ class _Emitter:
         return indent
 
     def emit_neg(self, atom: Atom, indent: int, varmap: dict[str, str]) -> int:
-        table = self.catalog.tables.get(atom.name)
-        probe = self.probe_spec(atom, varmap) if table is not None else []
-        probe_cols = tuple(c for c, _ in probe)
-        pk = self.pk_cols(atom, probe_cols) if probe else None
+        access = access_path(atom, None, varmap, self.catalog)
         hit = self.tmp("hit")
         nrow = self.tmp("n")
-        overlay = dict(varmap)
         self.w(indent, f"{hit} = False")
-        if pk is not None:
-            by_col = dict(probe)
-            key_expr = ", ".join(by_col[c] for c in pk) + ","
-            tbl = self.table_ref(atom.name)
-            self.notes.append(
-                f"notin {atom.name}: pk-get [{', '.join(map(str, pk))}]"
-            )
-            self.w(indent, f"{nrow} = {tbl}.lookup_key(({key_expr}))")
-            guard = [f"{nrow} is not None"] + [
-                f"{val} == {nrow}[{col}]"
-                for col, val in probe
-                if col not in pk
-            ]
-            self.w(indent, "if " + " and ".join(guard) + ":")
-            inner = self.emit_match(
-                atom, nrow, indent + 1, overlay, set(probe_cols),
-                needs_len=False, bind_temp=True,
-            )
-            self.w(inner, f"{hit} = True")
-        else:
-            if table is not None and probe:
-                tbl = self.table_ref(atom.name)
-                self.notes.append(
-                    f"notin {atom.name}: probe "
-                    f"[{', '.join(map(str, probe_cols))}]"
-                )
-                if len(probe) == 1:
-                    col, val = probe[0]
-                    cand = f"{tbl}.rows_matching_ref({col}, {val})"
-                else:
-                    cols = ", ".join(str(c) for c in probe_cols) + ","
-                    vals = ", ".join(v for _, v in probe) + ","
-                    cand = f"{tbl}.rows_matching_cols(({cols}), ({vals}))"
-                needs_len = False
-            elif table is not None:
-                tbl = self.table_ref(atom.name)
-                self.notes.append(f"notin {atom.name}: scan")
-                cand = f"{tbl}.rows_list()"
-                needs_len = False
-            else:
-                self.notes.append(f"notin {atom.name}: scan-events")
-                cand = f"ev._event_pool.get({atom.name!r}, _E)"
-                needs_len = True
-            self.w(indent, f"for {nrow} in {cand}:")
-            inner = self.emit_match(
-                atom, nrow, indent + 1, overlay, set(probe_cols),
-                needs_len=needs_len, bind_temp=True,
-            )
-            self.w(inner, f"{hit} = True")
+        inner = self.emit_candidates(atom, access, nrow, indent, varmap)
+        inner = self.emit_match(
+            atom, nrow, inner, dict(varmap), set(access.probe),
+            needs_len=access.kind == "scan-events", bind_temp=True,
+        )
+        self.w(inner, f"{hit} = True")
+        if access.kind != "pk-get":
             self.w(inner, "break")
         self.w(indent, f"if not {hit}:")
         return indent + 1
@@ -600,60 +569,68 @@ class _Emitter:
 
 
 class _Unit(NamedTuple):
-    """A generated plan, minus the runtime it will run in."""
+    """A generated plan, minus the runtime it will run in — or, where the
+    emitter declined (``code`` None), why."""
 
     code: Any
-    source: str
+    source: Optional[str]
+    steps: tuple[str, ...]  # describe_steps of the emitted body order
     names: dict[str, str]  # kind -> function name
     tables: dict[str, str]  # namespace name -> relation whose Table it is
     shared: dict[str, Any]  # namespace entries every runtime can share
+    reason: Optional[str] = None
 
 
-# (rule text, drive, kinds, table declarations) -> _Unit, or None where the
-# emitter declined.  Values hold nothing of any runtime; the memo is
-# emptied when it outgrows _UNIT_LIMIT (a test process generating
-# programs, not a deployment).
-_UNITS: dict[tuple, Optional[_Unit]] = {}
+def _declined(reason: str) -> _Unit:
+    return _Unit(None, None, (), {}, {}, {}, reason)
+
+
+# (rule text, drive, kinds, table declarations) -> _Unit.  Values hold
+# nothing of any runtime; the memo is emptied when it outgrows _UNIT_LIMIT
+# (a test process generating programs, not a deployment).
+_UNITS: dict[tuple, _Unit] = {}
 _UNIT_LIMIT = 8192
 
 
 def _emit_unit(
     rule: Rule, drive: Any, catalog: Catalog, kinds: tuple[str, ...]
-) -> Optional[_Unit]:
+) -> _Unit:
     from .plan import body_order, describe_fold, drive_tag  # imports us
 
-    if _sensitive_sites(rule) > 1:
-        # Kept on the closure tier to preserve the stateful call sequence.
-        return None
+    sites = _sensitive_sites(rule)
+    if sites > 1:
+        # The interpreter's breadth-first order fixes the call sequence.
+        return _declined(f"{sites} order-sensitive call sites")
     tag = drive_tag(drive)
+    order = body_order(rule, drive, catalog)
     ns: dict[str, Any] = {}
     chunks: list[str] = []
     names: dict[str, str] = {}
     try:
-        emitter = _Emitter(rule, body_order(rule, drive, catalog), catalog, ns)
+        emitter = _Emitter(rule, order, catalog, ns)
         for kind in kinds:
             fn_name = f"_{rule.name}_{tag.replace('@', '_')}_{kind}"
             if not fn_name.isidentifier():
                 fn_name = f"_plan_{kind}"
-            emitter.notes = []
             chunks.append(emitter.emit_function(fn_name, kind))
             names[kind] = fn_name
-    except Unsupported:
-        return None
+    except Unsupported as exc:
+        return _declined(str(exc))
+    steps = describe_steps(order, catalog)
     header = [f"# rule {rule.name} [{tag}] :: {rule}"]
     if rule.is_aggregate:
         header.append(f"#   => aggregate [{describe_fold(rule, catalog)}]")
-    header += [f"#   {note}" for note in emitter.notes]
+    header += [f"#   {i}. {line}" for i, line in enumerate(steps)]
     source = "\n".join(header) + "\n" + "\n\n".join(chunks) + "\n"
     try:
         code = compile(source, f"<codegen:{rule.name}:{tag}>", "exec")
     except SyntaxError:  # pragma: no cover - emitter bug guard
-        return None
+        return _declined("emitted source does not compile")
     tables = {
         ref: value.name for ref, value in ns.items() if isinstance(value, Table)
     }
     shared = {ref: value for ref, value in ns.items() if ref not in tables}
-    return _Unit(code, source, names, tables, shared)
+    return _Unit(code, source, steps, names, tables, shared)
 
 
 def generate_plan_source(
@@ -662,15 +639,16 @@ def generate_plan_source(
     catalog: Catalog,
     functions: FunctionLibrary,
     kinds: tuple[str, ...],
-) -> tuple[dict[str, Any], str]:
+) -> tuple[Optional[dict[str, Any]], _Unit]:
     """Compile one (rule, drive) to flat functions.
 
     ``drive`` is what the plan's rows range over and fixes the body's
-    execution order (``plan.body_order``).  Returns ``(fns, source)``
-    where ``fns`` maps each requested kind (``plain`` / ``tracked`` /
-    ``envs`` / ``agg``) to an executable function with the ``(ev,
-    delta_rows, exclude)`` signature of ``JoinPlan.execute``.  Raises
-    :class:`Unsupported` when the rule shape cannot be emitted.
+    execution order (``plan.body_order``).  Returns ``(fns, unit)``:
+    ``fns`` maps each requested kind (``plain`` / ``tracked`` / ``envs``
+    / ``agg``) to a function ``(ev, delta_rows, exclude)`` bound to this
+    runtime's tables, and is None when the emitter declined
+    (``unit.reason`` says why); ``unit.source`` and ``unit.steps`` are
+    the text and the step lines.
     """
     read = {atom.name for atom in (*rule.positives, *rule.negatives)}
     # repr, not the rule: Const(1) == Const(1.0) == Const(True).
@@ -678,17 +656,16 @@ def generate_plan_source(
         repr(rule), drive, kinds,
         tuple(catalog.tables[n].decl for n in sorted(read & catalog.tables.keys())),
     )
-    if key in _UNITS:
-        unit = _UNITS[key]
-    else:
+    unit = _UNITS.get(key)
+    if unit is None:
         if len(_UNITS) >= _UNIT_LIMIT:
             _UNITS.clear()
         unit = _UNITS[key] = _emit_unit(rule, drive, catalog, kinds)
-    if unit is None:
-        raise Unsupported(f"rule {rule.name} stays on the closure tier")
+    if unit.code is None:
+        return None, unit
     ns = dict(unit.shared)
     ns["_call"] = functions.call
     for ref, relation in unit.tables.items():
         ns[ref] = catalog.table(relation)
     exec(unit.code, ns)
-    return {kind: ns[name] for kind, name in unit.names.items()}, unit.source
+    return {kind: ns[name] for kind, name in unit.names.items()}, unit

@@ -45,12 +45,15 @@ from .plan import (
     AggregatePlan,
     Drive,
     PlanCache,
-    RulePlans,
     body_order,
     compile_expr,
     removal_drives,
 )
 from .strata import compute_strata, rules_by_stratum
+
+# The evaluation engines (``Evaluator(engine=...)``): generated source,
+# and the two references it is checked against.
+ENGINES = ("source", "interpreter", "naive")
 
 # A fixpoint that runs longer than this many semi-naive iterations within a
 # single stratum is assumed to be oscillating through primary-key updates.
@@ -203,57 +206,27 @@ class Evaluator:
         catalog: Catalog,
         functions: FunctionLibrary,
         local_address: Any,
-        naive: bool = False,
-        compile_plans: bool = True,
-        compile_mode: Optional[str] = None,
+        engine: str = "source",
     ):
         self.catalog = catalog
         self.functions = functions
         self.local_address = local_address
-        # Naive mode re-evaluates every rule against the full database on
-        # every iteration (no delta restriction, no cross-step activity
-        # gating).  It exists to validate the semi-naive optimization
-        # (results must coincide for deterministic programs) and to
-        # measure what the optimization buys (ablation A1/A2).  It is NOT
-        # sound for rules calling nondeterministic builtins (f_uid etc.),
-        # which rely on exactly-once firing.
-        self.naive = naive
-        # Evaluator tiers, fastest first:
-        #
-        # * ``"source"`` (default): plans additionally carry per-rule
-        #   Python functions generated by :mod:`repro.overlog.codegen`
-        #   and exec-compiled at install time — flat nested loops with no
-        #   per-step environment lists.  Rules the generator cannot prove
-        #   equivalent for (see codegen.Unsupported) silently run on the
-        #   closure tier.
-        # * ``"closure"``: the compiled step-pipeline plans of
-        #   repro.overlog.plan alone.
-        # * ``"interpreter"``: the AST-walking reference path, kept as
-        #   what the differential tests (and the A1 ablation) compare
-        #   against.  Naive mode always interprets — it IS the reference
-        #   semantics.
-        #
-        # ``compile_mode`` picks a tier explicitly and wins over the
-        # legacy ``compile_plans`` flag; ``compile_plans=False`` is the
-        # historical spelling of ``compile_mode="interpreter"``.
-        if compile_mode is not None and compile_mode not in (
-            "source", "closure", "interpreter"
-        ):
-            raise ValueError(
-                f"compile_mode must be 'source', 'closure' or "
-                f"'interpreter', got {compile_mode!r}"
-            )
-        if naive:
-            mode = None
-        elif compile_mode is not None:
-            mode = None if compile_mode == "interpreter" else compile_mode
-        elif compile_plans:
-            mode = "source"
-        else:
-            mode = None
-        self.compile_mode = mode if mode is not None else "interpreter"
+        # The engine runs every plan as generated Python source
+        # (repro.overlog.codegen); a rule shape the emitter declines runs
+        # through the AST interpreter (``_body_envs`` / ``_eval_rule``).
+        # The other two engines exist for the differential tests and the
+        # ablations: ``"interpreter"`` evaluates every plan that way, the
+        # semi-naive reference the source is checked against, and
+        # ``"naive"`` re-evaluates every rule against the full database
+        # every round (no deltas, no cross-step gating) — the ground-truth
+        # semantics.  Naive is NOT sound for rules calling
+        # nondeterministic builtins (f_uid etc.), which rely on
+        # exactly-once firing.
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+        self.engine = engine
         self.planner: Optional[PlanCache] = (
-            PlanCache(catalog, functions, mode=mode) if mode is not None else None
+            PlanCache(catalog, functions) if engine == "source" else None
         )
         # Optional observability hooks (attach_ledger / attach_profiler):
         # a provenance DerivationLedger recording every head derivation,
@@ -271,7 +244,7 @@ class Evaluator:
         # rebuild each positive body atom's matched row from a final body
         # environment.  Keyed by id(rule); cleared on program swap.
         self._body_recipes: dict[int, tuple] = {}
-        # Interpreter tier: (id(rule), drive) -> plan.body_order result.
+        # Interpreter: (id(rule), drive) -> plan.body_order result.
         self._orders: dict[tuple, list] = {}
         self._install_rules(rules)
         # Mutable per-step state.
@@ -316,11 +289,10 @@ class Evaluator:
     # -- rule installation ---------------------------------------------------
 
     def _install_rules(self, rules: tuple[Rule, ...]) -> None:
-        """Validate, stratify, and compile a rule set (install time).
+        """Validate, stratify, and plan a rule set (install time).
 
-        Join plans for every rule × drive are compiled here, once, so
-        the per-pass hot path never re-derives index choices or re-walks
-        expression ASTs.
+        Plans for every rule × drive are made here, once; each generates
+        its source the first time it runs.
         """
         self._validate(rules)
         strata = compute_strata(rules)
@@ -449,26 +421,24 @@ class Evaluator:
         annotated with each rule's cumulative fire count so the output
         cross-references the profiler's hot-rules report by rule id."""
         if self.planner is None:
-            return "(no compiled plans: interpreted evaluator)"
+            return f"(no compiled plans: engine={self.engine!r})"
         return self.planner.explain(rule_name, rule_fires=self.rule_fires)
 
     # -- observability hooks -------------------------------------------------
 
     def attach_ledger(self, ledger) -> None:
-        """Attach a provenance :class:`DerivationLedger`.  Requires the
-        compiled evaluator — lineage is tracked by the plan steps."""
+        """Attach a provenance :class:`DerivationLedger`: every plan then
+        runs in its ``tracked`` / ``envs`` shape.  Requires the source
+        engine."""
         if self.planner is None:
-            raise EvaluationError(
-                "provenance requires the compiled evaluator "
-                "(compile_plans=True and naive=False)"
-            )
+            raise EvaluationError("provenance requires engine='source'")
         ledger.resolver = self._witness_body
         self._ledger = ledger
 
     def attach_profiler(self, profiler) -> None:
         """Attach a sampled :class:`PlanProfiler` (no-op for the
-        interpreted evaluator, which has no plans to time).  The plan
-        cache keeps the reference so a program swap flushes stale
+        interpreter and naive engines, which have no plans to time).  The
+        plan cache keeps the reference so a program swap flushes stale
         (rule, tag)-keyed stats along with the plans."""
         self._profiler = profiler
         if self.planner is not None:
@@ -695,7 +665,7 @@ class Evaluator:
         fresh identifiers.
         """
         info = self._stratum_exec[index]
-        if self.naive:
+        if self.engine == "naive":
             self._run_stratum_naive(index, info["normal_rules"], info["aggs"])
             return
 
@@ -710,9 +680,9 @@ class Evaluator:
             self._record_iterations(index, 1)
             return
         # With no observers attached the per-derivation dispatch in
-        # ``_derive`` is pure overhead; call the generated source (or the
-        # closure pipeline) directly.  Sampled/tracked runs keep the full
-        # path so ledger and profiler see every execution.
+        # ``_derive`` is pure overhead; call the generated source
+        # directly.  Observed runs call the same functions through
+        # ``_derive`` so ledger and profiler see every execution.
         fast = (
             self.planner is not None
             and self._profiler is None
@@ -890,11 +860,8 @@ class Evaluator:
         for _ridx, _seq, rule, plan, drive, rows_list in candidates:
             excl = None if drive is None else exclude
             if fast:
-                fn = plan.src_execute
-                if fn is not None:
-                    items = fn(self, rows_list, excl)
-                else:
-                    items = plan.execute(self, rows_list, excl)
+                fn = plan.plain or plan.generate().plain
+                items = fn(self, rows_list, excl)
             else:
                 items = self._derive(rule, drive, rows_list, excl, plan)
             if items:
@@ -911,42 +878,28 @@ class Evaluator:
         exclude: Optional[dict[str, set[Row]]] = None,
         plan: Any = None,
     ) -> list[tuple]:
-        """Derive a non-aggregate rule's head tuples through the compiled
-        plan when available, otherwise the AST-walking reference path.
+        """Derive a non-aggregate rule's head tuples through its plan,
+        or through the interpreter on the engine without plans.
 
-        ``plan`` is the pre-resolved JoinPlan from the stratum's install-
-        time execution structures (None on the interpreter tier).  Items
-        are ``(rel, row)``, or ``(rel, row, body_tuples)`` when the
-        provenance ledger is attached (tracked execution).
+        Items are ``(rel, row)``, or ``(rel, row, env)`` when the
+        provenance ledger is attached.  A profiler-sampled execution is
+        the same function, timed.
         """
-        if plan is not None:
-            tracked = self._ledger is not None
-            prof = self._profiler
-            if prof is not None:
-                # Sampling decision inlined: one stat load, an increment
-                # and a modulo on the un-sampled hot path.  Sampled
-                # executions run the step pipeline (the profiler times
-                # per-step), which produces bit-identical results to the
-                # generated source, so tiers may interleave freely.
-                stat = plan._prof
-                if stat is None:
-                    stat = prof.link(plan)
-                n = stat.execs
-                stat.execs = n + 1
-                if n % prof.sample_every == 0:
-                    return prof.run_plan(
-                        plan, self, delta_rows, exclude, plan.project, tracked
-                    )
-            if tracked:
-                src = plan.src_execute_tracked
-                if src is not None:
-                    return src(self, delta_rows, exclude)
-                return plan.execute_tracked(self, delta_rows, exclude)
-            src = plan.src_execute
-            if src is not None:
-                return src(self, delta_rows, exclude)
-            return plan.execute(self, delta_rows, exclude)
-        return self._eval_rule(rule, drive, delta_rows, exclude)
+        if plan is None:
+            return self._eval_rule(rule, drive, delta_rows, exclude)
+        if plan._codegen is not None:
+            plan.generate()
+        fn = plan.tracked if self._ledger is not None else plan.plain
+        prof = self._profiler
+        if prof is not None:
+            # Sampling decision inlined: one stat load, an increment and
+            # a modulo on the un-sampled hot path.
+            stat = plan._prof or prof.link(plan)
+            n = stat.execs
+            stat.execs = n + 1
+            if n % prof.sample_every == 0:
+                return prof.run_plan(stat, fn, self, delta_rows, exclude)
+        return fn(self, delta_rows, exclude)
 
     def _run_aggregate(
         self,
@@ -955,7 +908,7 @@ class Evaluator:
         index: int,
         acc: dict[str, set[Row]],
     ) -> list[tuple]:
-        """One activation of an aggregate rule, for every semi-naive tier:
+        """One activation of an aggregate rule, on both semi-naive engines:
         fold what entered and left its body since stratum ``index`` last
         ran into the rule's state (:func:`plan.fold_strategy`) and return
         the head rows of the groups that moved."""
@@ -1013,25 +966,30 @@ class Evaluator:
         rows: list[Row],
         exclude: Optional[dict[str, set[Row]]],
     ) -> dict[Row, list]:
-        """The contributions of one body plan of an aggregate rule:
-        through the interpreter without plans, timed when the profiler
-        samples the execution, as environments (the witnesses) under the
-        ledger and else in the generated ``agg`` shape."""
+        """The contributions of one body plan of an aggregate rule: its
+        generated ``agg`` shape or, under the ledger (the environments
+        are the witnesses) and for a plan the emitter declined, its
+        environments projected by the fold.  Through the interpreter on
+        the engine without plans; timed when the profiler samples."""
         rule, rp, agg = entry[:3]
         tracked = self._ledger is not None
         if rp is None:
             envs = self._body_envs(rule, drive, rows, exclude)
             return agg.project(envs, tracked)
         plan = rp.by_drive[drive]
-        prof = self._profiler
-        if prof is not None and prof.should_sample(plan):
-            return prof.run_plan(plan, self, rows, exclude, agg.project, tracked)
         if plan._codegen is not None:
             plan.generate()
-        if not tracked and plan.src_agg is not None:
-            return plan.src_agg(self, rows, exclude)
-        envs = (plan.src_envs or plan.body_envs)(self, rows, exclude)
-        return agg.project(envs, tracked)
+        fn = plan.agg
+        if tracked or fn is None:
+            envs_of = plan.envs
+
+            def fn(ev, rows, exclude):
+                return agg.project(envs_of(ev, rows, exclude), tracked)
+
+        prof = self._profiler
+        if prof is not None and prof.should_sample(plan):
+            return prof.run_plan(plan._prof, fn, self, rows, exclude)
+        return fn(self, rows, exclude)
 
     def _run_stratum_naive(
         self, index: int, normal_rules: list[Rule], aggs: list[tuple]
@@ -1231,7 +1189,7 @@ class Evaluator:
     def _body_from_env(self, rule: Rule, env: Env) -> tuple:
         recipe = self._body_recipes.get(id(rule))
         if recipe is None:
-            recipe = self._compile_body_recipe(rule)
+            recipe = self._witness_recipe(rule)
             self._body_recipes[id(rule)] = recipe
         out = []
         for name, fns, probe in recipe:
@@ -1249,7 +1207,7 @@ class Evaluator:
             out.append((name, found))
         return tuple(out)
 
-    def _compile_body_recipe(self, rule: Rule) -> tuple:
+    def _witness_recipe(self, rule: Rule) -> tuple:
         """How to rebuild each positive body atom's matched row from a
         final body environment.  Per atom: ``(name, column_fns, probe)``
         — ``probe`` is None when every column is a bound variable or a
@@ -1315,8 +1273,11 @@ class Evaluator:
         drive: Drive,
         delta_rows: Iterable[Row],
         exclude: Optional[dict[str, set[Row]]] = None,
-    ) -> list[tuple[str, Row]]:
-        """Evaluate a non-aggregate rule body; returns derived head tuples.
+        tracked: bool = False,
+    ) -> list[tuple]:
+        """Evaluate a non-aggregate rule body; returns derived head tuples
+        ``(rel, row)``, with the body environment as a third element when
+        ``tracked``.
 
         Under a ``drive`` the driving atom ranges only over
         ``delta_rows`` and the atoms :func:`plan.body_order` gives the
@@ -1335,13 +1296,13 @@ class Evaluator:
         head_name = rule.head.name
         head_args = rule.head.args
         functions = self.functions
-        return [
-            (
-                head_name,
-                tuple(eval_expr(arg, env, functions) for arg in head_args),
-            )
+        rows = [
+            tuple(eval_expr(arg, env, functions) for arg in head_args)
             for env in envs
         ]
+        if tracked:
+            return [(head_name, row, env) for row, env in zip(rows, envs)]
+        return [(head_name, row) for row in rows]
 
     def _body_envs(
         self,

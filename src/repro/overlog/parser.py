@@ -358,9 +358,21 @@ class Parser:
         raise ParseError(f"unexpected token {tok.value!r}", tok.line, tok.col)
 
 
+# Source text -> its Program: replicas of one program parse it once per
+# process.  AST nodes are frozen, so sharing one Program is safe; the memo
+# is emptied when it outgrows _PARSED_LIMIT.
+_PARSED: dict[str, Program] = {}
+_PARSED_LIMIT = 256
+
+
 def parse(source: str) -> Program:
     """Parse Overlog source text into a :class:`Program`."""
-    return Parser(tokenize(source)).parse_program()
+    program = _PARSED.get(source)
+    if program is None:
+        if len(_PARSED) >= _PARSED_LIMIT:
+            _PARSED.clear()
+        program = _PARSED[source] = Parser(tokenize(source)).parse_program()
+    return program
 
 
 def parse_with_watches(source: str) -> tuple[Program, list[str]]:

@@ -1,56 +1,32 @@
-"""Rule compilation: cached join plans for the Overlog evaluator.
+"""Rule compilation: the plans the Overlog evaluator runs.
 
-The interpreted evaluator (:mod:`repro.overlog.eval`) re-derives the same
-decisions on every semi-naive pass: which column of each body atom can be
-probed through a hash index, which variables are bound at each body
-position, and how to evaluate every head/predicate expression (a recursive
-AST walk per derived tuple).  All of those are static properties of the
-rule text, so this module resolves them **once, at program-install time**:
+What a rule body does on each semi-naive pass is a static property of
+the rule text and the table declarations, so this module resolves it
+**once, at program-install time**, and the generated source
+(:mod:`repro.overlog.codegen`) runs it:
 
-* ``compile_expr`` turns an expression AST into a Python closure
-  ``env -> value`` with the same semantics (including Overlog's integer
-  division and short-circuit ``&&``/``||``).
 * ``body_order`` fixes, for one rule and one *drive* (what changed: rows
   inserted into a positive atom's relation, rows removed from a negated
   atom's or, for an aggregate, from a positive atom's), the order the
-  body runs in and the view each atom reads; the interpreter, the
-  closure steps below and the source emitter all iterate it.
-* ``JoinPlan`` is the compiled form of one rule body for one drive: an
-  ordered sequence of steps (delta scan, composite index probe, table
-  scan, negation check, assignment, condition) with the bound-variable
-  sets and index column choices frozen in.
+  body runs in and the view each atom reads; the interpreter and the
+  source emitter both iterate it.
+* ``JoinPlan`` is one rule body for one drive: the flat functions
+  generated for it on its first execution, or — for a shape the emitter
+  declines — the interpreter's evaluation of the same body, behind the
+  same ``(ev, delta_rows, exclude)`` signature.
 * ``AggregatePlan`` is the grouping/fold half of an aggregate rule and
   its per-group fold state: contributions enter and leave it, and only
-  the groups whose fold moved produce head rows.  Every tier, naive
-  evaluation and both observers turn bindings into head rows here.
+  the groups whose fold moved produce head rows.  Every engine and both
+  observers turn bindings into head rows here.
 * ``PlanCache`` owns every plan for a rule set — a full-evaluation plan,
   one ``JoinPlan`` per positive atom (``delta@i``) and per drivable
   negated atom (``removed@k``) and, for aggregate rules over stored
   relations, one per positive atom losing rows (``retract@i``) — and is
   invalidated wholesale when rules are added or swapped.
-
-Plans probe composite (multi-column) hash indexes: where the interpreter
-probed only the *first* bound column, a plan probes **all** bound columns
-at once (`Table.rows_matching_cols`), so a join like
-``chunk(File, Id, Node)`` with ``File`` and ``Node`` bound touches only
-the rows matching both.  The candidate-row filter that remains after the
-probe is a specialized matcher closure, not a generic ``match_atom``
-interpretation.
-
-Correctness notes (load-bearing, relied on by the differential tests):
-
-* Step-level dedup of identical environments is only needed when an atom
-  contains a wildcard argument.  For wildcard-free atoms, distinct input
-  environments with the same key set extend to distinct outputs (new
-  bindings only add keys; rows that agree on every checked and bound
-  column are the same row), so plans skip the frozenset dedup entirely —
-  this is where most of the interpreter's per-tuple overhead went.
-* Environments reaching the head are pairwise distinct for the same
-  reason, so head projection needs no second dedup pass (the interpreted
-  path re-froze every environment to check this).
-* Expression evaluation order, integer-division semantics and error
-  behavior are preserved exactly; the compiled path must be
-  indistinguishable from the interpreter in everything but speed.
+* ``compile_expr`` turns an expression AST into a closure ``env ->
+  value`` with the interpreter's semantics, for what reads environments
+  after the body ran: aggregate projection and the provenance witness
+  recipe.
 """
 
 from __future__ import annotations
@@ -65,7 +41,6 @@ from .ast import (
     Assign,
     Atom,
     BinOp,
-    Cond,
     Const,
     Expr,
     FuncCall,
@@ -76,13 +51,8 @@ from .ast import (
     atom_vars,
     expr_vars,
 )
-from .catalog import Catalog, Row, Table
-from .codegen import (
-    Unsupported,
-    atom_needs_dedup,
-    expr_calls,
-    generate_plan_source,
-)
+from .catalog import Catalog, Row
+from .codegen import atom_needs_dedup, expr_calls, generate_plan_source
 from .errors import EvaluationError
 from .functions import DEFAULT_FUNCTIONS, FunctionLibrary
 
@@ -171,140 +141,15 @@ def _compile_binop(expr: BinOp, functions: FunctionLibrary) -> ExprFn:
     return lambda env: fn(left(env), right(env))
 
 
-# ---------------------------------------------------------------------------
-# Atom matchers
-# ---------------------------------------------------------------------------
-
-# Matcher micro-ops, resolved at compile time.  ``check_var`` and
-# ``check_expr`` read the *effective* environment (including bindings made
-# by earlier columns of the same atom), matching the interpreter's strict
-# left-to-right unification.
-_BIND = 0
-_CHECK_VAR = 1
-_CHECK_CONST = 2
-_CHECK_EXPR = 3
-
-MatchFn = Callable[[Row, Env], Optional[Env]]
-
-
-def _compile_matcher(
-    atom: Atom,
-    bound: frozenset,
-    probe_cols: tuple[int, ...],
-    functions: FunctionLibrary,
-) -> MatchFn:
-    """Build ``match(row, env) -> extended env | None`` for one atom.
-
-    Columns in ``probe_cols`` were already constrained by the index probe
-    (constants and previously-bound variables), so the matcher skips them.
-    """
-    arity = len(atom.args)
-    probed = set(probe_cols)
-    ops: list[tuple[int, int, Any]] = []
-    seen_new: set[str] = set()
-    for col, arg in enumerate(atom.args):
-        if isinstance(arg, Var):
-            if arg.is_wildcard:
-                continue
-            if arg.name in bound or arg.name in seen_new:
-                if col not in probed:
-                    ops.append((_CHECK_VAR, col, arg.name))
-            else:
-                ops.append((_BIND, col, arg.name))
-                seen_new.add(arg.name)
-        elif isinstance(arg, Const):
-            if col not in probed:
-                ops.append((_CHECK_CONST, col, arg.value))
-        else:
-            ops.append((_CHECK_EXPR, col, compile_expr(arg, functions)))
-
-    if all(kind == _BIND for kind, _, _ in ops):
-        bind_pairs = tuple((col, name) for _, col, name in ops)
-
-        def match_bind_only(row: Row, env: Env) -> Optional[Env]:
-            if len(row) != arity:
-                return None
-            new_env = dict(env)
-            for col, name in bind_pairs:
-                new_env[name] = row[col]
-            return new_env
-
-        # With zero ops every column is probed/wildcard: any row of the
-        # right arity matches without extending the environment.
-        if not bind_pairs:
-            def match_any(row: Row, env: Env) -> Optional[Env]:
-                return env if len(row) == arity else None
-            return match_any
-        return match_bind_only
-
-    op_tuple = tuple(ops)
-
-    def match(row: Row, env: Env) -> Optional[Env]:
-        if len(row) != arity:
-            return None
-        new_env: Optional[Env] = None
-        for kind, col, payload in op_tuple:
-            if kind == _BIND:
-                if new_env is None:
-                    new_env = dict(env)
-                new_env[payload] = row[col]
-            elif kind == _CHECK_VAR:
-                cur = env if new_env is None else new_env
-                if cur[payload] != row[col]:
-                    return None
-            elif kind == _CHECK_CONST:
-                if payload != row[col]:
-                    return None
-            else:  # _CHECK_EXPR
-                cur = env if new_env is None else new_env
-                if payload(cur) != row[col]:
-                    return None
-        return env if new_env is None else new_env
-
-    return match
-
-
-def _probe_spec(
-    atom: Atom, bound: frozenset, functions: FunctionLibrary
-) -> tuple[tuple[int, ...], tuple[ExprFn, ...]]:
-    """All columns usable as an index probe — every constant argument and
-    every previously-bound variable — i.e. the *most-bound* composite key
-    available at this body position."""
-    cols: list[int] = []
-    fns: list[ExprFn] = []
-    for col, arg in enumerate(atom.args):
-        if isinstance(arg, Const):
-            cols.append(col)
-            fns.append(compile_expr(arg, functions))
-        elif isinstance(arg, Var) and not arg.is_wildcard and arg.name in bound:
-            cols.append(col)
-            fns.append(compile_expr(arg, functions))
-    return tuple(cols), tuple(fns)
-
-
-# ---------------------------------------------------------------------------
-# Plan steps
-# ---------------------------------------------------------------------------
-
-# Lineage tracking (provenance ledger support).  When the evaluator runs
-# with a DerivationLedger attached, plans execute through
-# ``execute_tracked``, which returns each head tuple together with the
-# *final body environment* that produced it.  The join steps themselves
-# are untouched (environments are never mutated after a step emits them,
-# so holding references is free); the evaluator reconstructs the witness
-# body tuples from the environment only for derivations it actually
-# records — genuinely-new tuples — instead of paying per joined row.
-
-
-# How an atom step sources its candidate rows relative to the plan's
-# driving rows.
+# The view an atom reads its rows from, relative to the plan's driving
+# rows.
 _SRC_NORMAL = "full"        # full relation (probe or scan)
 _SRC_DELTA = "delta"        # ranges over the plan's driving rows
 _SRC_POST_DELTA = "full-minus-delta"  # full relation minus the delta
 
 
 # ---------------------------------------------------------------------------
-# Body ordering (shared by the interpreter, closure and source tiers)
+# Body ordering (shared by the interpreter and the source emitter)
 # ---------------------------------------------------------------------------
 
 # What a plan's driving rows are: ``None`` for the full evaluation,
@@ -504,375 +349,95 @@ def body_order(
     return order
 
 
-class _AtomStep:
-    """One positive body atom: delta scan, composite-index probe, or
-    full scan, followed by the specialized matcher."""
-
-    __slots__ = (
-        "atom", "name", "source", "table", "probe_cols", "probe_fns",
-        "match", "needs_dedup",
-    )
-
-    def __init__(
-        self,
-        atom: Atom,
-        source: str,
-        table: Optional[Table],
-        probe_cols: tuple[int, ...],
-        probe_fns: tuple[ExprFn, ...],
-        match: MatchFn,
-        needs_dedup: bool,
-    ):
-        self.atom = atom
-        self.name = atom.name
-        self.source = source
-        self.table = table
-        self.probe_cols = probe_cols
-        self.probe_fns = probe_fns
-        self.match = match
-        # Only atoms with wildcard columns can map distinct rows onto the
-        # same environment; everything else is provably duplicate-free.
-        self.needs_dedup = needs_dedup
-
-    def run(
-        self,
-        ev: Any,
-        envs: list[Env],
-        delta_rows: list[Row],
-        exclude: Optional[dict[str, set[Row]]],
-    ) -> list[Env]:
-        banned: Optional[set[Row]] = None
-        rows: Optional[Iterable[Row]] = None
-        probing = False
-        if self.source == _SRC_DELTA:
-            rows = delta_rows
-        else:
-            if (
-                self.source == _SRC_POST_DELTA
-                and exclude is not None
-            ):
-                banned = exclude.get(self.name)
-            if self.table is not None and self.probe_cols:
-                probing = True
-            elif self.table is not None:
-                rows = self.table.rows_list()
-            else:
-                rows = ev._event_pool.get(self.name, ())
-            if banned is not None and not probing:
-                rows = [r for r in rows if r not in banned]
-
-        out: list[Env] = []
-        match = self.match
-        seen: Optional[set] = set() if self.needs_dedup else None
-        if probing:
-            table = self.table
-            cols = self.probe_cols
-            fns = self.probe_fns
-            for env in envs:
-                values = tuple(fn(env) for fn in fns)
-                for row in table.rows_matching_cols(cols, values):
-                    if banned is not None and row in banned:
-                        continue
-                    matched = match(row, env)
-                    if matched is not None:
-                        if seen is not None:
-                            sig = frozenset(matched.items())
-                            if sig in seen:
-                                continue
-                            seen.add(sig)
-                        out.append(matched)
-        else:
-            for env in envs:
-                for row in rows:
-                    matched = match(row, env)
-                    if matched is not None:
-                        if seen is not None:
-                            sig = frozenset(matched.items())
-                            if sig in seen:
-                                continue
-                            seen.add(sig)
-                        out.append(matched)
-        return out
-
-    def describe(self) -> str:
-        if self.source == _SRC_DELTA:
-            access = f"delta({self.name})"
-        elif self.table is not None and self.probe_cols:
-            keys = ", ".join(
-                f"col{c}={self.atom.arg_str(c)}" for c in self.probe_cols
-            )
-            access = f"probe {self.name}[{keys}]"
-        else:
-            kind = "scan" if self.table is not None else "scan-events"
-            access = f"{kind} {self.name}"
-        if self.source == _SRC_POST_DELTA:
-            access += " \\ delta"
-        binds = sorted(
-            a.name
-            for a in self.atom.args
-            if isinstance(a, Var) and not a.is_wildcard
-        )
-        suffix = f" -> bind {', '.join(binds)}" if binds else ""
-        if self.needs_dedup:
-            suffix += " [dedup]"
-        return access + suffix
-
-
-class _NegStep:
-    """A ``notin`` check: keep environments with no matching row."""
-
-    __slots__ = ("atom", "name", "table", "probe_cols", "probe_fns", "match")
-
-    def __init__(
-        self,
-        atom: Atom,
-        table: Optional[Table],
-        probe_cols: tuple[int, ...],
-        probe_fns: tuple[ExprFn, ...],
-        match: MatchFn,
-    ):
-        self.atom = atom
-        self.name = atom.name
-        self.table = table
-        self.probe_cols = probe_cols
-        self.probe_fns = probe_fns
-        self.match = match
-
-    def run(
-        self,
-        ev: Any,
-        envs: list[Env],
-        delta_rows: list[Row],
-        exclude: Optional[dict[str, set[Row]]],
-    ) -> list[Env]:
-        match = self.match
-        kept: list[Env] = []
-        if self.table is not None and self.probe_cols:
-            table = self.table
-            cols = self.probe_cols
-            fns = self.probe_fns
-            for env in envs:
-                values = tuple(fn(env) for fn in fns)
-                if not any(
-                    match(row, env) is not None
-                    for row in table.rows_matching_cols(cols, values)
-                ):
-                    kept.append(env)
-            return kept
-        if self.table is not None:
-            rows: Iterable[Row] = self.table.rows_list()
-        else:
-            rows = ev._event_pool.get(self.name, ())
-        for env in envs:
-            if not any(match(row, env) is not None for row in rows):
-                kept.append(env)
-        return kept
-
-    def describe(self) -> str:
-        if self.table is not None and self.probe_cols:
-            keys = ", ".join(
-                f"col{c}={self.atom.arg_str(c)}" for c in self.probe_cols
-            )
-            return f"antijoin probe {self.name}[{keys}]"
-        return f"antijoin scan {self.name}"
-
-
-class _AssignStep:
-    """``Var := expr`` — binds when unbound (statically known), otherwise
-    filters on equality."""
-
-    __slots__ = ("name", "fn", "already_bound")
-
-    def __init__(self, name: str, fn: ExprFn, already_bound: bool):
-        self.name = name
-        self.fn = fn
-        self.already_bound = already_bound
-
-    def run(
-        self,
-        ev: Any,
-        envs: list[Env],
-        delta_rows: list[Row],
-        exclude: Optional[dict[str, set[Row]]],
-    ) -> list[Env]:
-        fn = self.fn
-        name = self.name
-        if self.already_bound:
-            return [env for env in envs if env[name] == fn(env)]
-        out: list[Env] = []
-        for env in envs:
-            value = fn(env)
-            extended = dict(env)
-            extended[name] = value
-            out.append(extended)
-        return out
-
-    def describe(self) -> str:
-        verb = "check" if self.already_bound else "assign"
-        return f"{verb} {self.name}"
-
-
-class _CondStep:
-    """A boolean condition filter."""
-
-    __slots__ = ("fn", "text")
-
-    def __init__(self, fn: ExprFn, text: str):
-        self.fn = fn
-        self.text = text
-
-    def run(
-        self,
-        ev: Any,
-        envs: list[Env],
-        delta_rows: list[Row],
-        exclude: Optional[dict[str, set[Row]]],
-    ) -> list[Env]:
-        fn = self.fn
-        return [env for env in envs if fn(env)]
-
-    def describe(self) -> str:
-        return f"filter {self.text}"
-
-
 # ---------------------------------------------------------------------------
 # Join plans
 # ---------------------------------------------------------------------------
 
 
 class JoinPlan:
-    """The compiled body of one rule for one drive (``None`` is the
-    full-evaluation plan, see :data:`Drive`), plus the compiled head
-    projection for non-aggregate rules.
+    """One rule body for one drive (``None`` is the full-evaluation plan,
+    see :data:`Drive`).
 
-    Under the source-codegen tier (``compile_mode="source"``, see
-    :mod:`repro.overlog.codegen`) the plan additionally carries flat
-    ``exec``-generated functions — ``src_execute`` / ``src_execute_tracked``
-    / ``src_envs`` / ``src_agg`` — that produce bit-identical output to
-    ``execute`` / ``execute_tracked`` / ``body_envs`` without the step
-    pipeline.  They are generated on the plan's first execution (most
-    rule x drive pairs of a program never run) and stay ``None`` on the
-    closure tier or when the emitter declined the rule shape; callers
-    fall back to the step path then, which is also what triggers the
-    generation.
+    Its functions — ``plain`` (head tuples), ``tracked`` (head tuples
+    with their binding environment), ``envs`` (environments) and ``agg``
+    (an aggregate's contributions), whichever the rule needs — all take
+    ``(ev, delta_rows, exclude)``.  They are generated on the plan's
+    first execution (most rule x drive pairs of a program never run):
+    call :meth:`generate` first, which is free once done.  Where the
+    emitter declines the rule shape, ``unsupported`` says why and the
+    functions evaluate the body through the interpreter.
     """
 
     __slots__ = (
-        "rule", "drive", "tag", "steps", "head_name", "head_fns", "_prof",
-        "src_execute", "src_execute_tracked", "src_envs", "src_agg",
-        "source", "unsupported", "_codegen", "fold",
+        "rule", "drive", "tag", "fold", "_prof", "_codegen",
+        "plain", "tracked", "envs", "agg", "source", "steps", "unsupported",
     )
 
     def __init__(
         self,
         rule: Rule,
         drive: Drive,
-        steps: tuple,
-        head_fns: Optional[tuple[ExprFn, ...]],
+        fold: Optional[str],
+        codegen: tuple,
     ):
         self.rule = rule
         self.drive = drive
         self.tag = drive_tag(drive)
-        self.steps = steps
-        self.head_name = rule.head.name
-        self.head_fns = head_fns
         # Aggregate rules: what the plan's bindings feed (describe_fold).
-        self.fold: Optional[str] = None
-        # Profiler stat slot, lazily filled by PlanProfiler.should_sample
-        # so the sampling decision is one attribute load per execution.
+        self.fold = fold
+        # Profiler stat slot, lazily filled by PlanProfiler.link so the
+        # sampling decision is one attribute load per execution.
         self._prof = None
-        # Source-codegen overlay: ``_codegen`` holds what generate() needs
-        # until it has run (None on the closure tier and afterwards).
-        self.src_execute = None
-        self.src_execute_tracked = None
-        self.src_envs = None
-        self.src_agg = None
+        # (catalog, functions, kinds) until generate() has run.
+        self._codegen: Optional[tuple] = codegen
+        self.plain = self.tracked = self.envs = self.agg = None
         self.source: Optional[str] = None
-        self.unsupported = False
-        self._codegen: Optional[tuple] = None
+        self.steps: tuple[str, ...] = ()
+        self.unsupported: Optional[str] = None
 
-    def generate(self) -> None:
+    def generate(self) -> "JoinPlan":
         """Lower the plan to generated source now, if that is still due."""
         pending = self._codegen
         if pending is None:
-            return
+            return self
         self._codegen = None
         catalog, functions, kinds = pending
-        try:
-            fns, self.source = generate_plan_source(
-                self.rule, self.drive, catalog, functions, kinds
-            )
-        except Unsupported:
-            self.unsupported = True
-            return
-        self.src_execute = fns.get("plain")
-        self.src_execute_tracked = fns.get("tracked")
-        self.src_envs = fns.get("envs")
-        self.src_agg = fns.get("agg")
-
-    def body_envs(
-        self,
-        ev: Any,
-        delta_rows: list[Row],
-        exclude: Optional[dict[str, set[Row]]],
-    ) -> list[Env]:
-        envs: list[Env] = [{}]
-        for step in self.steps:
-            if not envs:
-                return envs
-            envs = step.run(ev, envs, delta_rows, exclude)
-        return envs
-
-    def execute(
-        self,
-        ev: Any,
-        delta_rows: list[Row] = (),
-        exclude: Optional[dict[str, set[Row]]] = None,
-    ) -> list[tuple[str, Row]]:
-        """Derive head tuples.  Environments reaching the head are
-        pairwise distinct (see module docstring), so no re-dedup."""
-        if self._codegen is not None:
-            self.generate()
-            if self.src_execute is not None:
-                return self.src_execute(ev, delta_rows, exclude)
-        return self.project(self.body_envs(ev, delta_rows, exclude))
-
-    def execute_tracked(
-        self,
-        ev: Any,
-        delta_rows: list[Row] = (),
-        exclude: Optional[dict[str, set[Row]]] = None,
-    ) -> list[tuple[str, Row, Env]]:
-        """Like :meth:`execute`, but each result carries the final body
-        environment it was projected from: ``(relation, row, env)``.
-        The evaluator reconstructs witness body tuples from the env only
-        for derivations it records (environments are immutable once a
-        step emits them, so the references stay valid)."""
-        if self._codegen is not None:
-            self.generate()
-            if self.src_execute_tracked is not None:
-                return self.src_execute_tracked(ev, delta_rows, exclude)
-        return self.project(self.body_envs(ev, delta_rows, exclude), True)
-
-    def project(self, envs: list[Env], tracked: bool = False) -> list[tuple]:
-        """Head tuples of body environments (with each environment when
-        ``tracked``)."""
-        name = self.head_name
-        fns = self.head_fns
-        if tracked:
-            return [
-                (name, tuple(fn(env) for fn in fns), env) for env in envs
-            ]
-        return [(name, tuple(fn(env) for fn in fns)) for env in envs]
+        fns, unit = generate_plan_source(
+            self.rule, self.drive, catalog, functions, kinds
+        )
+        self.source, self.steps = unit.source, unit.steps
+        if fns is None:
+            self.unsupported = unit.reason
+            rule, drive = self.rule, self.drive
+            fns = {
+                "plain": lambda ev, rows, exclude: ev._eval_rule(
+                    rule, drive, rows, exclude
+                ),
+                "tracked": lambda ev, rows, exclude: ev._eval_rule(
+                    rule, drive, rows, exclude, True
+                ),
+                "envs": lambda ev, rows, exclude: ev._body_envs(
+                    rule, drive, rows, exclude
+                ),
+            }
+        self.plain = fns.get("plain")
+        self.tracked = fns.get("tracked")
+        self.envs = fns.get("envs")
+        self.agg = fns.get("agg")
+        return self
 
     def explain(self) -> str:
-        """Human-readable plan: one line per step, in execution order."""
-        lines = [
-            f"[{self.tag}]"
-            + (f" => aggregate [{self.fold}]" if self.fold else "")
-        ]
-        lines += [f"  {i}. {s.describe()}" for i, s in enumerate(self.steps)]
-        return "\n".join(lines)
+        """Human-readable plan: one line per step, in execution order,
+        naming the access path the generated function uses."""
+        self.generate()
+        head = f"[{self.tag}]"
+        if self.fold:
+            head += f" => aggregate [{self.fold}]"
+        if self.unsupported:
+            head += f" interpreted ({self.unsupported})"
+        return "\n".join(
+            [head] + [f"  {i}. {line}" for i, line in enumerate(self.steps)]
+        )
 
 
 # An aggregate over thousands of bindings would otherwise keep (and the
@@ -1190,115 +755,32 @@ def refold(func: str, values: list[Any]) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Compilation driver
+# Plan cache
 # ---------------------------------------------------------------------------
 
 
-def _compile_body(
-    rule: Rule,
-    drive: Drive,
-    catalog: Catalog,
-    functions: FunctionLibrary,
-) -> tuple:
-    steps: list = []
-    bound: set[str] = set()
-    for elem, source in body_order(rule, drive, catalog):
-        if isinstance(elem, Atom):
-            frozen = frozenset(bound)
-            table = catalog.tables.get(elem.name)
-            if table is not None and source != _SRC_DELTA:
-                probe_cols, probe_fns = _probe_spec(elem, frozen, functions)
-            else:
-                probe_cols, probe_fns = (), ()
-            match = _compile_matcher(elem, frozen, probe_cols, functions)
-            # Dedup only where duplicates are possible (see
-            # codegen.atom_needs_dedup): wildcard columns, minus the
-            # keyed-table case where the key is fully visible.  Driving
-            # steps always keep it — removed rows (and, for rules whose
-            # body cannot be reordered, a nested delta) may hold two
-            # same-key row versions.
-            needs_dedup = atom_needs_dedup(
-                elem, None if source == _SRC_DELTA else table
-            )
-            steps.append(
-                _AtomStep(
-                    elem, source, table, probe_cols, probe_fns, match,
-                    needs_dedup,
-                )
-            )
-            for arg in elem.args:
-                if isinstance(arg, Var) and not arg.is_wildcard:
-                    bound.add(arg.name)
-        elif isinstance(elem, NotIn):
-            frozen = frozenset(bound)
-            atom = elem.atom
-            table = catalog.tables.get(atom.name)
-            if table is not None:
-                probe_cols, probe_fns = _probe_spec(atom, frozen, functions)
-            else:
-                probe_cols, probe_fns = (), ()
-            match = _compile_matcher(atom, frozen, probe_cols, functions)
-            steps.append(_NegStep(atom, table, probe_cols, probe_fns, match))
-        elif isinstance(elem, Assign):
-            steps.append(
-                _AssignStep(
-                    elem.var.name,
-                    compile_expr(elem.expr, functions),
-                    elem.var.name in bound,
-                )
-            )
-            bound.add(elem.var.name)
-        elif isinstance(elem, Cond):
-            steps.append(_CondStep(compile_expr(elem.expr, functions), str(elem)))
-        else:  # pragma: no cover - parser prevents this
-            raise EvaluationError(f"unknown body element {elem!r}")
-    return tuple(steps)
-
-
-def compile_rule(
-    rule: Rule,
-    drive: Drive,
-    catalog: Catalog,
-    functions: FunctionLibrary,
-) -> JoinPlan:
-    """Compile one rule body for one drive into a JoinPlan."""
-    steps = _compile_body(rule, drive, catalog, functions)
-    if rule.is_aggregate:
-        head_fns = None  # projection handled by AggregatePlan
-    else:
-        head_fns = tuple(
-            compile_expr(a, functions) for a in rule.head.args
-        )
-    return JoinPlan(rule, drive, steps, head_fns)
-
-
 class RulePlans:
-    """Every compiled plan for one rule: the full-evaluation plan, one
-    delta plan per positive body atom, one removal plan per negated atom
-    that can drive the rule (:func:`removal_drives`) and, when the head
+    """Every plan for one rule: the full-evaluation plan, one delta plan
+    per positive body atom, one removal plan per negated atom that can
+    drive the rule (:func:`removal_drives`) and, when the head
     aggregates, the fold (``agg``) with the plans its strategy adds:
     ``retract@i`` per positive atom, and ``regroup``.
 
-    With ``mode="source"`` each plan is additionally lowered to flat
-    Python source (:mod:`repro.overlog.codegen`) the first time it runs;
-    ``sources`` (tag -> text, what ``\\src`` in the REPL prints) and
-    ``codegen_errors`` force the generation of every plan.  Emission
-    failures fall back to the closure step path plan-by-plan.
+    Plans generate their source the first time they run; ``sources``
+    (tag -> text, what ``\\src`` in the REPL prints), ``codegen_errors``
+    and ``explain`` generate every plan.
     """
 
     __slots__ = ("rule", "by_drive", "full", "by_pos", "by_removed", "agg")
 
     def __init__(
-        self,
-        rule: Rule,
-        catalog: Catalog,
-        functions: FunctionLibrary,
-        mode: str = "closure",
+        self, rule: Rule, catalog: Catalog, functions: FunctionLibrary
     ):
         self.rule = rule
         self.agg: Optional[AggregatePlan] = None
         positions = range(len(rule.positives))
         drives: list[Drive] = [None]
+        fold = None
         if rule.is_aggregate:
             self.agg = AggregatePlan(rule, catalog, functions)
             how = self.agg.strategy
@@ -1309,16 +791,16 @@ class RulePlans:
                 drives += [("retract", i) for i in positions]
             if how == "regroup":
                 drives.append(("regroup", None))
-            kinds = ("envs", "agg")
+            codegen = (catalog, functions, ("envs", "agg"))
+            fold = describe_fold(rule, catalog)
         else:
             drives += [("delta", i) for i in positions]
             drives += [
                 ("removed", k) for k in removal_drives(rule, catalog) or ()
             ]
-            kinds = ("plain", "tracked")
+            codegen = (catalog, functions, ("plain", "tracked"))
         self.by_drive: dict[Drive, JoinPlan] = {
-            drive: compile_rule(rule, drive, catalog, functions)
-            for drive in drives
+            drive: JoinPlan(rule, drive, fold, codegen) for drive in drives
         }
         self.full = self.by_drive[None]
         self.by_pos = tuple(
@@ -1328,11 +810,6 @@ class RulePlans:
             d[1]: plan
             for d, plan in self.by_drive.items() if d and d[0] == "removed"
         }
-        fold = describe_fold(rule, catalog) if rule.is_aggregate else None
-        for plan in self.plans:
-            plan.fold = fold
-            if mode == "source":
-                plan._codegen = (catalog, functions, kinds)
 
     @property
     def plans(self) -> list[JoinPlan]:
@@ -1340,20 +817,17 @@ class RulePlans:
 
     @property
     def sources(self) -> dict[str, str]:
-        out = {}
-        for plan in self.plans:
-            plan.generate()
-            if plan.source is not None:
-                out[plan.tag] = plan.source
-        return out
+        return {
+            plan.tag: plan.source
+            for plan in self.plans
+            if plan.generate().source is not None
+        }
 
     @property
     def codegen_errors(self) -> int:
-        errors = 0
-        for plan in self.plans:
-            plan.generate()
-            errors += plan.unsupported
-        return errors
+        return sum(
+            plan.generate().unsupported is not None for plan in self.plans
+        )
 
     def explain(self, fires: Optional[int] = None) -> str:
         lines = [str(self.rule)]
@@ -1368,43 +842,32 @@ class RulePlans:
 
 
 class PlanCache:
-    """All compiled plans for an installed rule set.
+    """All plans for an installed rule set.
 
-    Compiled eagerly at program-install time; ``invalidate`` drops every
-    plan (rule addition / program swap), after which the evaluator
-    recompiles.  ``compile_count`` counts whole-program compilations so
-    tests can assert plans are reused, not rebuilt, across timesteps.
-
-    ``mode`` selects the execution tier the cache compiles for:
-    ``"closure"`` (step pipeline only) or ``"source"`` (step pipeline
-    plus exec-generated flat functions, the default evaluator tier —
-    see :mod:`repro.overlog.codegen`).  Source is generated per plan on
-    its first execution; ``generated``, ``codegen_errors`` and
+    Built at program-install time (no source is generated until a plan
+    runs); ``invalidate`` drops every plan (rule addition / program
+    swap), after which the evaluator rebuilds.  ``compile_count`` counts
+    whole-program compilations so tests can assert plans are reused, not
+    rebuilt, across timesteps.  ``generated``, ``codegen_errors`` and
     ``render_source`` generate whatever is still outstanding.
 
     Invalidation flushes *everything* keyed by the outgoing rule set:
-    the plans, the cached generated source, and — when a profiler is
-    attached (``self.profiler``, set by ``Evaluator.attach_profiler``) —
-    the profiler's per-(rule, tag) sample stats, which would otherwise
+    the plans, the generated source, and — when a profiler is attached
+    (``self.profiler``, set by ``Evaluator.attach_profiler``) — the
+    profiler's per-(rule, tag) sample stats, which would otherwise
     attribute a new program's timings to old rules of the same name.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        functions: FunctionLibrary,
-        mode: str = "closure",
-    ):
+    def __init__(self, catalog: Catalog, functions: FunctionLibrary):
         self.catalog = catalog
         self.functions = functions
-        self.mode = mode
         self._by_rule: dict[int, RulePlans] = {}
         self._rules: tuple[Rule, ...] = ()
         self.compile_count = 0
         self.profiler = None
 
     def compile_program(self, rules: tuple[Rule, ...]) -> None:
-        """Compile every rule × drive up front."""
+        """Plan every rule × drive up front."""
         self._rules = rules  # keeps ids stable while plans are cached
         self._by_rule = {
             id(rule): self._compile_one(rule) for rule in rules
@@ -1412,7 +875,7 @@ class PlanCache:
         self.compile_count += 1
 
     def _compile_one(self, rule: Rule) -> RulePlans:
-        return RulePlans(rule, self.catalog, self.functions, mode=self.mode)
+        return RulePlans(rule, self.catalog, self.functions)
 
     def invalidate(self) -> None:
         self._by_rule = {}
@@ -1450,8 +913,6 @@ class PlanCache:
     def render_source(self, rule_name: Optional[str] = None) -> str:
         """Generated source text for every cached plan (optionally one
         rule), in rule order — what the REPL's ``\\src`` prints."""
-        if self.mode != "source":
-            return f"(no generated source: compile_mode={self.mode!r})"
         parts = []
         for rp in self._by_rule.values():
             if rule_name is not None and rp.rule.name != rule_name:
@@ -1459,11 +920,12 @@ class PlanCache:
             sources = rp.sources
             for source in sources.values():
                 parts.append(source.rstrip("\n"))
-            if not sources and (rule_name is not None or rp.codegen_errors):
-                parts.append(
-                    f"# rule {rp.rule.name}: no generated source "
-                    f"(closure-tier fallback)"
-                )
+            parts += [
+                f"# rule {rp.rule.name} [{plan.tag}]: no generated source, "
+                f"interpreted ({plan.unsupported})"
+                for plan in rp.plans
+                if plan.unsupported is not None
+            ]
         if not parts:
             return (
                 f"(no generated source for rule {rule_name!r})"

@@ -17,8 +17,8 @@ Commands:
     \\why <rel> <v1> ...          derivation DAG of a tuple (provenance)
     \\whynot <rel> <v1> ...       why a tuple is absent ('?' = unknown col)
     \\profile [top]               sampled hot-rules report
-    \\explain [rule]              compiled join plans (+ fire counts)
-    \\src [rule]                  Python source the codegen tier generated
+    \\explain [rule]              plans and their access paths (+ fires)
+    \\src [rule]                  Python source generated
                                  for a rule's plans (all rules if omitted)
     \\lat [trace]                 critical-path latency accounting of a
                                  trace (default: the last insert's)

@@ -58,9 +58,7 @@ class OverlogRuntime:
         address: Any = "localhost",
         seed: int = 0,
         extra_functions: Optional[dict[str, Callable[..., Any]]] = None,
-        naive: bool = False,
-        compile_plans: bool = True,
-        compile_mode: Optional[str] = None,
+        engine: str = "source",
         metrics: "NodeMetrics | bool | None" = None,
         provenance: bool = False,
         provenance_capacity: Optional[int] = None,
@@ -90,9 +88,7 @@ class OverlogRuntime:
             self.catalog,
             self.functions,
             address,
-            naive=naive,
-            compile_plans=compile_plans,
-            compile_mode=compile_mode,
+            engine=engine,
         )
         # Always-on runtime metrics (pass metrics=False to measure their
         # cost, as benchmark E8 does).  A NodeMetrics instance may also be
@@ -185,15 +181,12 @@ class OverlogRuntime:
         return self.evaluator.explain(rule_name)
 
     def generated_source(self, rule_name: Optional[str] = None) -> str:
-        """The Python source the codegen tier generated for a rule's plans
-        (all rules when ``rule_name`` is None); explains itself when the
-        evaluator runs on a lower tier.  See docs/EVALUATOR.md."""
+        """The Python source generated for a rule's plans (all rules when
+        ``rule_name`` is None); explains itself on the interpreter and
+        naive engines.  See docs/EVALUATOR.md."""
         planner = self.evaluator.planner
         if planner is None:
-            return (
-                "(no generated source: "
-                f"compile_mode={self.evaluator.compile_mode})"
-            )
+            return f"(no generated source: engine={self.evaluator.engine!r})"
         return planner.render_source(rule_name)
 
     # -- provenance debugger (docs/PROVENANCE.md) -----------------------------

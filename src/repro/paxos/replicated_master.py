@@ -22,7 +22,7 @@ from ..boomfs.chunks import DEFAULT_CHUNK_SIZE
 from ..boomfs.client import BoomFSClient
 from ..boomfs.master import ROOT_FILE_ID, master_program
 from ..overlog import parse
-from ..sim.network import Address
+from ..transport import Address
 from .replica import PaxosReplica, paxos_program
 
 # The bridge: decided operations re-enter the FS program as `request`

@@ -1,74 +1,56 @@
-"""Sampled per-plan profiler for the compiled evaluator.
+"""Sampled per-plan profiler for the evaluator.
 
-Times each step (index probe, scan, matcher, negation check, assignment,
-condition) of a compiled join plan — but only on sampled executions
-(every ``sample_every``-th execution of each ``(rule, delta-position)``
-plan, always including the first), so the un-sampled hot path pays one
-dict lookup and counter increment per plan execution.
+Times whole plan executions — the same generated function the unobserved
+evaluator calls, timed as one unit — but only on sampled executions
+(every ``sample_every``-th execution of each ``(rule, drive)`` plan,
+always including the first), so the un-sampled hot path pays one
+attribute load and counter increment per plan execution.
 
 Sampled timings are scaled by the observed sampling ratio into
 *estimated* totals; the hot-rules report (rendered through
 :mod:`repro.metrics.export`) ranks rules by estimated time and breaks
-each down per plan and per step, cross-referencing ``explain()`` output
-by rule id and step index.
+each down per plan, listing each plan's steps — index and access path,
+the lines ``explain()`` prints — so the two cross-reference by rule id
+and step index.  Generated code has no step boundaries to time, so there
+is no per-step time.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 DEFAULT_SAMPLE_EVERY = 32
 
 
-class _StepStat:
-    __slots__ = ("describe", "runs", "time_ns", "envs_out")
-
-    def __init__(self, describe: str):
-        self.describe = describe
-        self.runs = 0
-        self.time_ns = 0
-        self.envs_out = 0
-
-
 class _PlanStat:
-    """Stats for one (rule, delta-position) plan."""
+    """Stats for one (rule, drive) plan."""
 
     __slots__ = (
-        "rule", "tag", "fold", "execs", "sampled", "time_ns", "steps",
+        "rule", "tag", "fold", "steps", "execs", "sampled", "time_ns",
         "rows_out",
     )
 
-    def __init__(self, rule: str, tag: str, fold: Optional[str] = None):
-        self.rule = rule
-        self.tag = tag
-        self.fold = fold     # aggregate rules: what the plan feeds
+    def __init__(self, plan: Any):
+        self.rule = plan.rule.name
+        self.tag = plan.tag
+        self.fold = plan.fold  # aggregate rules: what the plan feeds
+        self.steps = plan.steps  # describe lines, as explain() prints them
         self.execs = 0       # total executions (sampled or not)
         self.sampled = 0     # executions actually timed
         self.time_ns = 0     # total sampled plan time
-        self.steps: list[_StepStat] = []
-        self.rows_out = 0    # head tuples from sampled executions
-
-    def step_stat(self, index: int, step: Any) -> _StepStat:
-        steps = self.steps
-        while len(steps) <= index:
-            steps.append(None)
-        ss = steps[index]
-        if ss is None:
-            # describe() renders text — only pay for it once per step.
-            ss = steps[index] = _StepStat(step.describe())
-        return ss
+        self.rows_out = 0    # head tuples (groups, for an aggregate's
+        #                      contributions) from sampled executions
 
 
 class PlanProfiler:
     """Decides which plan executions to time, and accumulates results.
 
-    The evaluator calls :meth:`should_sample` on every plan execution;
-    when it returns True, the execution is routed through
-    :meth:`run_plan`, which produces exactly the same results as the
-    plan's untimed path while timing each step.  An aggregate rule's
-    plans (``delta@i``, ``retract@i``, ...) are sampled under their own
-    tags like any other; the fold they feed is the evaluator's.
+    The evaluator counts every plan execution against the plan's stat
+    (:meth:`should_sample`, inlined on its hot path); a sampled one runs
+    through :meth:`run_plan`, which calls the plan's own function and
+    times it.  An aggregate rule's plans (``delta@i``, ``retract@i``,
+    ...) are sampled under their own tags like any other.
     """
 
     def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY):
@@ -93,59 +75,29 @@ class PlanProfiler:
     def link(self, plan: Any) -> _PlanStat:
         """Find-or-create the stat for ``plan`` and cache it on the plan
         itself (``plan._prof``), so the evaluator's inlined sampling
-        decision is one attribute load, an increment and a modulo.
-        Stats are *keyed* by (rule, tag) in ``_stats``; a rule-set swap
-        flushes them through :meth:`invalidate` (via
-        ``PlanCache.invalidate``) so a new program never inherits
-        same-named rules' timings."""
+        decision is one attribute load, an increment and a modulo."""
         key = (plan.rule.name, plan.tag)
         stat = self._stats.get(key)
         if stat is None:
-            stat = _PlanStat(*key, plan.fold)
-            self._stats[key] = stat
+            stat = self._stats[key] = _PlanStat(plan.generate())
         plan._prof = stat
         return stat
 
     def should_sample(self, plan: Any) -> bool:
         """Count one execution of ``plan``; True when it must be timed
-        (the 1st, (1+N)th, (1+2N)th... execution of each plan).  The
-        evaluator inlines this logic; kept as the reference entry point
-        for tests and external callers."""
-        stat = plan._prof
-        if stat is None:
-            stat = self.link(plan)
+        (the 1st, (1+N)th, (1+2N)th... execution of each plan)."""
+        stat = plan._prof or self.link(plan)
         n = stat.execs
         stat.execs = n + 1
         return n % self.sample_every == 0
 
     # -- timed execution -----------------------------------------------------
 
-    def _run_steps(self, stat: _PlanStat, steps, ev, delta_rows, exclude):
-        envs: list = [{}]
-        for index, step in enumerate(steps):
-            if not envs:
-                break
-            t0 = perf_counter_ns()
-            envs = step.run(ev, envs, delta_rows, exclude)
-            dt = perf_counter_ns() - t0
-            ss = stat.step_stat(index, step)
-            ss.runs += 1
-            ss.time_ns += dt
-            ss.envs_out += len(envs)
-        return envs
-
-    def run_plan(
-        self, plan, ev, delta_rows, exclude, project, tracked: bool
-    ) -> list:
-        """Execute ``plan`` with per-step timing; same results as the
-        plan's untimed path.  ``project(envs, tracked)`` turns the body
-        environments into what the caller stages: the plan's own head
-        projection, or an aggregate's contributions."""
-        stat = plan._prof
-        t_plan = perf_counter_ns()
-        envs = self._run_steps(stat, plan.steps, ev, delta_rows, exclude)
-        out = project(envs, tracked)
-        stat.time_ns += perf_counter_ns() - t_plan
+    def run_plan(self, stat: _PlanStat, fn: Callable, *args: Any) -> Any:
+        """``fn(*args)`` — the plan's function — timed into ``stat``."""
+        t0 = perf_counter_ns()
+        out = fn(*args)
+        stat.time_ns += perf_counter_ns() - t0
         stat.sampled += 1
         stat.rows_out += len(out)
         return out
@@ -174,15 +126,8 @@ class PlanProfiler:
                 "est_ms": est_ns / 1e6,
                 "rows_out": stat.rows_out,
                 "steps": [
-                    {
-                        "step": i,
-                        "describe": ss.describe,
-                        "runs": ss.runs,
-                        "time_ms": ss.time_ns / 1e6,
-                        "envs_out": ss.envs_out,
-                    }
-                    for i, ss in enumerate(stat.steps)
-                    if ss is not None
+                    {"step": i, "describe": line}
+                    for i, line in enumerate(stat.steps)
                 ],
             })
         rules = sorted(
@@ -195,6 +140,4 @@ class PlanProfiler:
             entry["plans"].sort(key=lambda p: p["est_ms"], reverse=True)
             for p in entry["plans"]:
                 p["est_ms"] = round(p["est_ms"], 3)
-                for s in p["steps"]:
-                    s["time_ms"] = round(s["time_ms"], 3)
         return {"sample_every": self.sample_every, "rules": rules}

@@ -6,8 +6,7 @@ Replaces the paper's EC2 testbed: a deterministic virtual-time event loop
 network itself lives in :mod:`repro.transport` — the simulator backend
 is :class:`~repro.transport.sim_transport.SimTransport`, re-exported
 here with the transport contract (:class:`Transport`,
-:class:`Envelope`, :class:`TransportStats`) for convenience; ``Network``
-and ``NetworkStats`` remain as historical aliases.
+:class:`Envelope`, :class:`TransportStats`) for convenience.
 
 All time is integer milliseconds; all randomness flows from seeds, so any
 distributed execution in this repository can be replayed exactly.
@@ -33,7 +32,6 @@ from .failure import (
     generate_campaign,
     random_crash_schedule,
 )
-from .network import Message, Network
 from .node import OverlogProcess, Process
 from .simulator import EventHandle, Simulator
 
@@ -46,8 +44,6 @@ __all__ = [
     "FAULT_CLASSES",
     "FailureSchedule",
     "LatencyModel",
-    "Message",
-    "Network",
     "NetworkStats",
     "Outbox",
     "OverlogProcess",

@@ -268,10 +268,7 @@ class OverlogProcess(Process):
 
     ``METRICS`` is forwarded to the runtime: ``None`` (default) enables
     the always-on registry, ``False`` disables it — an ablation hook for
-    measuring instrumentation overhead (bench E4/E8).  ``COMPILE_MODE``
-    likewise forwards an evaluator tier override (``"source"`` /
-    ``"closure"`` / ``"interpreter"``, ``None`` = runtime default) — the
-    codegen-ablation hook bench E4 subclasses.
+    measuring instrumentation overhead (bench E4/E8).
 
     ``provenance``/``profile`` turn on the runtime's derivation ledger
     and sampled plan profiler (both off by default — see
@@ -283,7 +280,6 @@ class OverlogProcess(Process):
     """
 
     METRICS: Any = None
-    COMPILE_MODE: Optional[str] = None
 
     def __init__(
         self,
@@ -320,7 +316,6 @@ class OverlogProcess(Process):
             address=self.address,
             seed=self._seed,
             extra_functions=self._extra_functions,
-            compile_mode=self.COMPILE_MODE,
             metrics=self.METRICS,
             provenance=self._provenance,
             provenance_capacity=self._provenance_capacity,

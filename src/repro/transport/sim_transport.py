@@ -1,8 +1,8 @@
 """Deterministic simulated transport (the discrete-event backend).
 
-The pre-refactor ``repro.sim.network.Network`` with the transport
-contract factored out: envelopes instead of one-tuple messages, but the
-same model of what matters to the paper's experiments:
+The simulator's network with the transport contract factored out:
+envelopes instead of one-tuple messages, but the same model of what
+matters to the paper's experiments:
 
 * configurable per-envelope latency (base + seeded jitter + size/bandwidth),
 * optional envelope loss,

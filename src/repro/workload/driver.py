@@ -34,7 +34,7 @@ from typing import Optional
 
 from ..analysis.cdf import percentile, render_ascii_cdf
 from ..boomfs.client import FSSession
-from ..sim.network import Address
+from ..transport import Address
 from ..sim.node import Process
 
 #: Default operation mix (weights): read-mostly metadata traffic.

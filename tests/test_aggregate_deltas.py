@@ -4,9 +4,9 @@ rows enter and leave its body relations.
 A rule over stored relations keeps per-group fold state; the rows that
 entered drive its ``delta@i`` plans, the rows that left its ``retract@i``
 plans, and only the groups whose fold moved produce a head row.  The
-differential harness (test_plan_equivalence.py) holds the five evaluator
+differential harness (test_plan_equivalence.py) holds the four evaluator
 variants equal on random programs; these tests pin the cases one by one,
-on every semi-naive tier, each step compared with naive evaluation — the
+on both semi-naive engines and under observers, each step compared with naive evaluation — the
 recompute oracle — on every table.
 """
 
@@ -17,16 +17,23 @@ import pytest
 from repro.overlog import OverlogRuntime
 from repro.overlog.catalog import Table
 
-TIERS = ["source", "closure", "interpreter"]
+# Each engine a semi-naive result must not depend on; "observed" is the
+# source engine with the provenance ledger and an every-execution
+# profiler attached.
+ENGINES = {
+    "source": {},
+    "observed": {"provenance": True, "profile": True, "profile_sample_every": 1},
+    "interpreter": {"engine": "interpreter"},
+}
 
 
 class Pair:
-    """One program on a semi-naive tier and on the naive oracle, fed the
-    same rows and compared on every table after every step."""
+    """One program on a semi-naive engine and on the naive oracle, fed
+    the same rows and compared on every table after every step."""
 
     def __init__(self, source: str, mode: str):
-        self.rt = OverlogRuntime(source, compile_mode=mode)
-        self.oracle = OverlogRuntime(source, naive=True)
+        self.rt = OverlogRuntime(source, **ENGINES[mode])
+        self.oracle = OverlogRuntime(source, engine="naive")
 
     def step(self, *inserts):
         for rt in (self.rt, self.oracle):
@@ -60,7 +67,7 @@ m1 maps_done_cnt(J, count<T>) :-
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_displacement_in_a_keyed_body_table_moves_the_count_once(mode):
     p = Pair(TASKS, mode)
     p.step(*[("task", (1, t, "map")) for t in range(3)],
@@ -89,7 +96,7 @@ x2 delete votes(B, I, F)@next :- drop_next(B, I, F), votes(B, I, F);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_deleted_member_and_emptied_group(mode):
     p = Pair(VOTES, mode)
     p.step(("votes", (1, 1, "a")), ("votes", (1, 1, "b")),
@@ -109,7 +116,7 @@ def test_deleted_member_and_emptied_group(mode):
     assert p.rows("vote_cnt") == [(1, 1, 2), (1, 2, 1)]
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_remove_and_reinsert_in_one_step_emits_nothing(mode):
     p = Pair(VOTES, mode)
     p.step(("votes", (1, 1, "a")), ("votes", (1, 1, "b")))
@@ -136,7 +143,7 @@ x1 delete fchunk(C, F, N)@next :- unlink(C), fchunk(C, F, N);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 @pytest.mark.parametrize("resized", ["c1", "c2"])
 def test_rows_leave_both_atoms_of_a_join_in_one_step(mode, resized):
     p = Pair(SIZES, mode)
@@ -167,7 +174,7 @@ x1 delete t1(A, B) :- clear(), t1(A, B);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_all_wildcard_atom_counts_bindings_not_rows(mode):
     # The rule of differential seed 4: every t1 row maps to the same
     # binding, so a second one must not double the counts.
@@ -197,7 +204,7 @@ d2 delete hb_chunk(Addr, C, S) :- dead(Addr), hb_chunk(Addr, C, S);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_two_datanodes_report_one_chunk_then_one_dies(mode):
     p = Pair(CHUNK_SIZE, mode)
     p.step(("hb_chunk", ("dn1", "c", 64)), ("hb_chunk", ("dn2", "c", 64)))
@@ -231,7 +238,7 @@ x2 delete num(K, I, V) :- drop(K, I), num(K, I, V);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_min_and_max_losing_their_extreme(mode):
     p = Pair(FOLDS, mode)
     p.step(*[("obs", ("k", i, v)) for i, v in enumerate([5, 1, 9, 1, 9])])
@@ -245,7 +252,7 @@ def test_min_and_max_losing_their_extreme(mode):
     assert p.rows("lo") == [("k", 2)] and p.rows("hi") == [("k", 5)]
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_list_is_sorted_whatever_the_arrival_order(mode):
     p = Pair(FOLDS, mode)
     p.step(("obs", ("k", 0, "z")), ("obs", ("k", 1, "a")))
@@ -255,7 +262,7 @@ def test_list_is_sorted_whatever_the_arrival_order(mode):
     assert p.rows("all") == [("k", ("a", "b", "m"))]
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_float_sums_are_exact_so_avg_equals_the_recompute_bit_for_bit(mode):
     # Float contributions accumulate as exact fractions: the fold is a
     # function of the group's bag of values, not of the order they came
@@ -274,7 +281,7 @@ def test_float_sums_are_exact_so_avg_equals_the_recompute_bit_for_bit(mode):
 # -- state lifetime -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_state_is_rebuilt_after_install_and_after_add_rule(mode):
     p = Pair(VOTES, mode)
     p.step(("votes", (1, 1, "a")))
@@ -306,7 +313,7 @@ x1 delete votes(I, F) :- drop(I, F), votes(I, F);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_event_head_over_stored_body_announces_every_live_group(mode):
     p = Pair(ANNOUNCE, mode)
     p.step(("votes", (1, "a")), ("votes", (2, "a")), ("votes", (3, "a")))
@@ -330,7 +337,7 @@ x1 delete mute(K) :- unmute(K), mute(K);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_negation_in_the_body_falls_back_to_recompute(mode):
     # A row entering ``mute`` retracts bindings; no delta plan says so.
     p = Pair(MUTED, mode)
@@ -350,13 +357,13 @@ w1 recent(K, count<V>) :- obs(K, V, T), f_now() - T < 100;
 """
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_impure_call_in_the_body_falls_back_to_recompute(mode):
     # A binding ages out of the window with no row moving: fold state
     # would count it for ever.
     for rt in (
-        OverlogRuntime(WINDOW, compile_mode=mode),
-        OverlogRuntime(WINDOW, naive=True),
+        OverlogRuntime(WINDOW, **ENGINES[mode]),
+        OverlogRuntime(WINDOW, engine="naive"),
     ):
         for v, now in [(1, 0), (2, 150), (3, 170)]:
             rt.insert("obs", ("k", v, now))
@@ -419,11 +426,11 @@ def _counted(action) -> int:
     return calls[0]
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_one_vote_costs_the_same_with_200_and_with_1600_groups(mode):
     costs = []
     for groups in (200, 1600):
-        rt = OverlogRuntime(VOTES, compile_mode=mode)
+        rt = OverlogRuntime(VOTES, **ENGINES[mode])
         for inst in range(groups):
             rt.insert("votes", (1, inst, "a"))
         rt.tick()

@@ -1,11 +1,13 @@
-"""Unit tests for the source-codegen evaluator tier.
+"""Unit tests for the source engine.
 
 The differential suite (tests/test_plan_equivalence.py) proves the
-generated functions *behave* identically to the closure tier; these
+generated functions *behave* identically to the interpreter; these
 tests pin down what the emitter actually generates — access-path choice
 (pk-get / probe / scan), delta-first loop order, negation and aggregate
-shapes — plus the cache-invalidation and catalog regressions that ride
-along with the tier:
+shapes, that ``explain()`` names the access path the generated code
+uses, and that a shape the emitter declines runs through the
+interpreter — plus the cache-invalidation and catalog regressions that
+ride along:
 
 * ``PlanCache.invalidate`` must flush generated source *and* the plan
   profiler's accumulated stats (a new program must never inherit
@@ -15,7 +17,14 @@ along with the tier:
   reinsert cycle without recounting ``index_builds``.
 """
 
+import re
+
+import pytest
+
+from repro.boomfs.master import master_program
+from repro.mapreduce.jobtracker import scheduler_program
 from repro.overlog import OverlogRuntime, parse
+from repro.paxos.replica import paxos_program
 
 
 def make_runtime(src: str, **kwargs) -> OverlogRuntime:
@@ -90,14 +99,17 @@ class TestGeneratedSource:
         assert "count" in rt.explain("g1")
 
     def test_lower_tiers_have_no_source(self):
-        rt = make_runtime(JOIN_SRC, compile_mode="closure")
-        assert "no generated source" in rt.generated_source()
-        rt2 = make_runtime(JOIN_SRC, compile_mode="interpreter")
-        assert "no generated source" in rt2.generated_source()
+        for engine in ("interpreter", "naive"):
+            rt = make_runtime(JOIN_SRC, engine=engine)
+            assert "no generated source" in rt.generated_source()
 
     def test_source_tier_is_the_default(self):
         rt = make_runtime(JOIN_SRC)
-        assert rt.evaluator.compile_mode == "source"
+        assert rt.evaluator.engine == "source"
+
+    def test_unknown_engine_is_refused(self):
+        with pytest.raises(ValueError, match="engine"):
+            make_runtime(JOIN_SRC, engine="closure")
 
     def test_generated_functions_actually_run(self):
         rt = make_runtime(JOIN_SRC)
@@ -124,13 +136,13 @@ class TestLazyGeneration:
         rt.insert("req", (1, "/a"))
         rt.tick()  # delta@0 (req) runs; delta@1 (fq) never has
         full, d0, d1 = plans.plans
-        assert full.src_execute is not None and d0.src_execute is not None
-        assert d1.source is None and d1.src_execute is None
+        assert full.plain is not None and d0.plain is not None
+        assert d1.source is None and d1.plain is None
 
     def test_showing_the_source_generates_the_rest(self):
         rt = make_runtime(PK_SRC)
         assert "delta@1" in rt.generated_source("p1")
-        assert all(p.src_execute is not None for p in self._plans(rt).plans)
+        assert all(p.plain is not None for p in self._plans(rt).plans)
         assert rt.evaluator.planner.codegen_errors == 0
 
     def test_replicas_of_one_program_share_code_objects(self):
@@ -138,8 +150,8 @@ class TestLazyGeneration:
         for rt in (a, b):
             rt.insert("edge", (1, 2))
             rt.tick()
-        fa = self._plans(a).full.src_execute
-        fb = self._plans(b).full.src_execute
+        fa = self._plans(a).full.plain
+        fb = self._plans(b).full.plain
         assert fa is not fb and fa.__code__ is fb.__code__
         # ... each bound to its own runtime's tables.
         b.insert("edge", (2, 3))
@@ -227,3 +239,101 @@ class TestClearThenReinsert:
         rt.tick()
         assert sorted(rt.rows("path2")) == [(7, 9)]
         assert sorted(rt.rows("edge")) == [(7, 8), (8, 9)]
+
+
+# -- explain() names what runs -------------------------------------------------
+
+SHIPPED = {
+    "boomfs_master": master_program,
+    "boom_mr": scheduler_program,
+    "paxos": paxos_program,
+}
+
+# How each access path reads as a line of generated code.
+_ACCESS_CODE = [
+    ("pk-get", re.compile(r"= _tbl_(\w+)\.lookup_key\(")),
+    ("probe", re.compile(r"in _tbl_(\w+)\.rows_matching_(?:ref|cols)\(")),
+    ("scan", re.compile(r"in _tbl_(\w+)\.rows_list\(\)")),
+    ("scan-events", re.compile(r"in ev\._event_pool\.get\('([^']+)'")),
+    ("delta", re.compile(r"in (delta_rows):")),
+]
+
+
+def code_accesses(source: str) -> list[tuple[str, str]]:
+    """(kind, relation) per row access of a plan's first generated
+    function, in code order; a delta loop names no relation."""
+    first = source.split("\ndef ", 2)[1]
+    out = []
+    for line in first.splitlines():
+        for kind, pattern in _ACCESS_CODE:
+            m = pattern.search(line)
+            if m:
+                out.append((kind, "" if kind == "delta" else m.group(1)))
+    return out
+
+
+def explained_accesses(plan) -> list[tuple[str, str]]:
+    """(kind, relation) per atom / antijoin step of ``explain()``."""
+    out = []
+    for line in plan.explain().splitlines()[1:]:
+        step = line.split(". ", 1)[1]
+        if ": " not in step:
+            continue  # assign / check / filter
+        name, path = step.removeprefix("antijoin ").split(": ", 1)
+        kind = path.split(" ")[0]
+        out.append((kind, "" if kind == "delta" else name))
+    return out
+
+
+@pytest.mark.parametrize("program", list(SHIPPED))
+def test_explain_names_the_access_path_the_generated_code_uses(program):
+    rt = OverlogRuntime(SHIPPED[program](), address="n0")
+    plans = [p for rp in rt.evaluator.planner.plans for p in rp.plans]
+    assert plans
+    for plan in plans:
+        text = plan.explain()
+        assert "interpreted" not in text, text
+        assert explained_accesses(plan) == code_accesses(plan.source), (
+            plan.rule.name, text, plan.source
+        )
+        # The source header lists the same step lines.
+        notes = [
+            line[4:] for line in plan.source.splitlines()
+            if re.match(r"#   \d+\. ", line)
+        ]
+        assert notes == [line[2:] for line in text.splitlines()[1:]]
+
+
+def test_boomfs_r2_gets_file_by_primary_key():
+    rt = OverlogRuntime(master_program(), address="n0")
+    (rule,) = [r for r in rt.rules if r.name == "r2"]
+    full = rt.evaluator.planner.plans_for(rule).full
+    assert "file: pk-get [0]" in full.explain()
+    assert "_tbl_file.lookup_key(" in full.source
+
+
+# -- shapes the emitter declines run through the interpreter -----------------------
+
+TWO_IDS = """
+define(item, keys(), {Int});
+define(tagged, keys(), {Int, Int, Int});
+t1 tagged(X, A, B) :- item(X), A := f_newid(), B := f_newid();
+"""
+
+
+def test_two_order_sensitive_sites_fall_back_to_the_interpreter():
+    rows = {}
+    for engine in ("source", "interpreter"):
+        rt = make_runtime(TWO_IDS, engine=engine)
+        for batch in ([1, 2, 3], [4, 5]):
+            for x in batch:
+                rt.insert("item", (x,))
+            rt.tick()
+        rows[engine] = sorted(rt.rows("tagged"))
+    assert rows["source"] == rows["interpreter"]
+    assert len({a for _, a, _ in rows["source"]}) == 5
+
+    rt = make_runtime(TWO_IDS)
+    assert "no generated source" in rt.generated_source("t1")
+    assert "interpreted (2 order-sensitive call sites)" in rt.explain("t1")
+    assert rt.evaluator.planner.codegen_errors == 2  # full and delta@0

@@ -17,7 +17,7 @@ from repro.latency import (
 from repro.metrics.trace import Tracer
 from repro.sim import OverlogProcess
 from repro.sim.cluster import Cluster
-from repro.sim.network import LatencyModel
+from repro.transport import LatencyModel
 from repro.telemetry.export import trace_latency_rows
 from repro.transport import AsyncCluster
 from repro.workload import LoadDriver, run_driver

@@ -11,13 +11,14 @@ from repro.mapreduce import (
     wordcount_map,
     wordcount_reduce,
 )
-from repro.sim import LatencyModel, Network, Simulator
+from repro.sim import LatencyModel, Simulator
+from repro.transport import SimTransport
 
 
 class TestColocation:
     def test_same_machine_skips_bandwidth(self):
         sim = Simulator()
-        net = Network(sim, latency=LatencyModel(1, 0, kb_per_ms=1))
+        net = SimTransport(sim, latency=LatencyModel(1, 0, kb_per_ms=1))
         net.colocate(["a", "b"])
         got = []
         net.register("b", lambda env: got.append(sim.now))
@@ -33,7 +34,7 @@ class TestColocation:
 
     def test_separate_colocate_calls_are_distinct_machines(self):
         sim = Simulator()
-        net = Network(sim)
+        net = SimTransport(sim)
         net.colocate(["a1", "a2"])
         net.colocate(["b1", "b2"])
         assert net.same_machine("a1", "a2")
@@ -42,7 +43,7 @@ class TestColocation:
 
     def test_unregistered_addresses_not_colocated(self):
         sim = Simulator()
-        net = Network(sim)
+        net = SimTransport(sim)
         assert not net.same_machine("x", "y")
         assert not net.same_machine("x", "x")  # unknown machines
 

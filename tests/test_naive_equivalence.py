@@ -36,8 +36,8 @@ del delete kv(K, V) :- bump(K, -1), kv(K, V), V > 100;
 
 def run_both(src, inserts, ticks=1):
     states = []
-    for naive in (False, True):
-        rt = OverlogRuntime(src, naive=naive)
+    for engine in ("source", "naive"):
+        rt = OverlogRuntime(src, engine=engine)
         for rel, rows in inserts:
             rt.insert_many(rel, rows)
         rt.tick()

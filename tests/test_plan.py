@@ -1,16 +1,31 @@
-"""Unit tests for the compiled-plan layer (:mod:`repro.overlog.plan`).
+"""Unit tests for the plan layer (:mod:`repro.overlog.plan`).
 
-The differential harness (test_plan_equivalence.py) proves the compiled
-evaluator *behaves* like the reference; these tests pin down the plans
-themselves: which index a join step probes, that composite indexes are
-built once and then maintained, that the plan cache is invalidated on
-rule installation, and that wildcard-join dedup survives compilation.
+The differential harness (test_plan_equivalence.py) proves the generated
+source *behaves* like the reference; these tests pin down the plans
+themselves: the access path each step of ``explain()`` names (the one
+the generated function uses), the body order, that composite indexes
+are built once and then maintained, that the plan cache is invalidated
+on rule installation, and that wildcard-join dedup survives compilation.
 """
 
 import pytest
 
 from repro.overlog import OverlogRuntime
-from repro.overlog.plan import _SRC_DELTA, _SRC_NORMAL, _SRC_POST_DELTA
+from repro.overlog.plan import (
+    _SRC_DELTA,
+    _SRC_NORMAL,
+    _SRC_POST_DELTA,
+    body_order,
+)
+
+# Each engine a semi-naive result must not depend on; "observed" is the
+# source engine with the provenance ledger and an every-execution
+# profiler attached.
+ENGINES = {
+    "source": {},
+    "observed": {"provenance": True, "profile": True, "profile_sample_every": 1},
+    "interpreter": {"engine": "interpreter"},
+}
 
 JOIN_PROGRAM = """
 program plans;
@@ -31,6 +46,11 @@ def plans_for(rt: OverlogRuntime, name: str):
     return rt.evaluator.planner.plans_for(rule_named(rt, name))
 
 
+def steps_of(plan) -> list[str]:
+    """The step lines of a plan's ``explain()``, without their index."""
+    return [line.split(". ", 1)[1] for line in plan.explain().splitlines()[1:]]
+
+
 # -- index / probe selection -------------------------------------------------
 
 
@@ -38,37 +58,30 @@ def test_most_bound_probe_uses_all_bound_columns():
     rt = OverlogRuntime(JOIN_PROGRAM)
     full = plans_for(rt, "r1").full
     # a(X, Y) opens the join: nothing is bound yet, so it must scan.
-    assert full.steps[0].probe_cols == ()
     # b(Y, Z, X): Y and X are bound, Z is not -> composite probe on (0, 2),
     # not the reference evaluator's first-single-column probe.
-    assert full.steps[1].probe_cols == (0, 2)
-    assert "probe b[col0=Y, col2=X]" in full.explain()
+    assert steps_of(full) == ["a: scan", "b: probe [0, 2]"]
 
 
 def test_constant_columns_are_probed():
     rt = OverlogRuntime(JOIN_PROGRAM)
     full = plans_for(rt, "r2").full
     # b(3, X, _): the constant column is probeable even with nothing bound.
-    assert full.steps[0].probe_cols == (0,)
+    assert steps_of(full) == ["b: probe [0] [dedup]"]
 
 
 def test_delta_plans_shift_sources():
     rt = OverlogRuntime(JOIN_PROGRAM)
     plans = plans_for(rt, "r1")
     d0, d1 = plans.by_pos
-    # delta@0: a is the delta (never probed) ...
-    assert d0.steps[0].source == _SRC_DELTA
-    assert d0.steps[0].probe_cols == ()
-    # ... b sits after the delta, so it reads the full view minus the
-    # delta (semi-naive exclusion) — still through the composite probe.
-    assert d0.steps[1].source == _SRC_POST_DELTA
-    assert d0.steps[1].probe_cols == (0, 2)
+    # delta@0: a is the delta (never probed); b sits after the delta, so
+    # it reads the full view minus the delta (semi-naive exclusion) —
+    # still through the composite probe.
+    assert steps_of(d0) == ["a: delta", "b: probe [0, 2] \\ delta"]
     # delta@1 also *starts* at its delta atom, b; a is written before
-    # the delta, so it keeps the plain full view of its textual position
-    # and is now probed on the columns b bound instead of scanned.
-    assert d1.steps[0].name == "b" and d1.steps[0].source == _SRC_DELTA
-    assert d1.steps[1].name == "a" and d1.steps[1].source == _SRC_NORMAL
-    assert d1.steps[1].probe_cols == (0, 1)
+    # the delta, so it keeps the plain full view of its textual position,
+    # and b binds its whole key: one primary-key get instead of a scan.
+    assert steps_of(d1) == ["b: delta", "a: pk-get [0, 1]"]
     assert "[delta@0]" in d0.explain()
 
 
@@ -151,7 +164,7 @@ def test_explain_renders_plans():
     assert "[full]" in text and "[delta@0]" in text
     only_r2 = rt.explain("r2")
     assert "r2" in only_r2 and "r1" not in only_r2
-    interpreted = OverlogRuntime(JOIN_PROGRAM, compile_plans=False)
+    interpreted = OverlogRuntime(JOIN_PROGRAM, engine="interpreter")
     assert "no compiled plans" in interpreted.explain()
 
 
@@ -179,8 +192,8 @@ def test_wildcard_join_dedup_survives_compilation():
     assert len(set(ids)) == 2
 
 
-@pytest.mark.parametrize("compile_plans", [True, False])
-def test_negation_probe_matches_reference(compile_plans):
+@pytest.mark.parametrize("compiled", [True, False])
+def test_negation_probe_matches_reference(compiled):
     program = """
     program neg;
     define(t, keys(0, 1), {Int, Int});
@@ -188,15 +201,16 @@ def test_negation_probe_matches_reference(compile_plans):
     define(out, keys(0, 1), {Int, Int});
     rn out(X, Y) :- t(X, Y), notin block(X, Y);
     """
-    rt = OverlogRuntime(program, compile_plans=compile_plans)
+    rt = OverlogRuntime(
+        program, engine="source" if compiled else "interpreter"
+    )
     rt.insert_many("t", [(1, 2), (3, 4)])
     rt.insert("block", (3, 4))
     rt.tick()
     assert rt.rows("out") == [(1, 2)]
-    if compile_plans:
+    if compiled:
         plan = plans_for(rt, "rn").full
-        assert plan.steps[1].probe_cols == (0, 1)
-        assert "antijoin probe block" in plan.explain()
+        assert steps_of(plan) == ["t: scan", "antijoin block: pk-get [0, 1]"]
 
 
 def test_post_delta_exclusion_still_applies_with_probe():
@@ -215,7 +229,7 @@ def test_post_delta_exclusion_still_applies_with_probe():
     rt.tick()
     assert sorted(rt.rows("p")) == [(1, 3)]
     fires = dict(rt.evaluator.rule_fires)
-    interp = OverlogRuntime(program, compile_plans=False)
+    interp = OverlogRuntime(program, engine="interpreter")
     interp.insert_many("u", [(1, 2), (2, 3)])
     interp.tick()
     assert dict(interp.evaluator.rule_fires) == fires
@@ -238,34 +252,30 @@ o4 out(A, 1) :- big(A, _), notin block(Z), link(A, Z);
 """
 
 
-def steps_of(plan):
-    return [s.describe().split(" ->")[0] for s in plan.steps]
-
-
 def test_driven_plans_pick_events_then_bound_keys_then_most_bound():
     rt = OverlogRuntime(ORDER_PROGRAM)
     plans = plans_for(rt, "o1")
     # The full plan is the body as written.
-    assert [s.name for s in plans.full.steps[:4]] == [
+    assert [line.split(":")[0] for line in steps_of(plans.full)[:4]] == [
         "big", "cfg", "link", "req"
     ]
     # delta@2 starts at link(C, D); of the rest, the event atom goes
     # first, then cfg (no key bound, one column) beats big (none), which
     # cfg then binds the join column of.
     assert steps_of(plans.by_pos[2]) == [
-        "delta(link)",
-        "scan-events req \\ delta",
-        "probe cfg[col1=C]",
-        "probe big[col1=B]",
+        "link: delta",
+        "req: scan-events \\ delta [dedup]",
+        "cfg: probe [1]",
+        "big: probe [1]",
         "assign V",
     ]
     # Every atom kept the view of where it was *written*: big and cfg
     # before the delta atom (full), req after it (full minus delta).
-    views = {s.name: s.source for s in plans.by_pos[2].steps[:4]}
-    assert views == {
-        "link": _SRC_DELTA, "req": _SRC_POST_DELTA,
-        "cfg": _SRC_NORMAL, "big": _SRC_NORMAL,
-    }
+    order = body_order(rule_named(rt, "o1"), ("delta", 2), rt.catalog)
+    assert [(elem.name, view) for elem, view in order[:4]] == [
+        ("link", _SRC_DELTA), ("req", _SRC_POST_DELTA),
+        ("cfg", _SRC_NORMAL), ("big", _SRC_NORMAL),
+    ]
 
 
 def test_atom_waits_for_the_assignment_that_binds_its_variable():
@@ -274,7 +284,7 @@ def test_atom_waits_for_the_assignment_that_binds_its_variable():
     # cfg(K, _) would have its key bound only once K := B + 1 has run,
     # and that needs big: so big, the assignment, then the pk-bound cfg.
     assert steps_of(d2) == [
-        "delta(link)", "probe big[col0=A]", "assign K", "probe cfg[col0=K]"
+        "link: delta [dedup]", "big: pk-get [0]", "assign K", "cfg: pk-get [0]"
     ]
 
 
@@ -284,14 +294,15 @@ def test_bodies_that_pin_textual_order(name):
     # link binds it (existential there).  Neither may be reordered, and
     # no removed row may drive o4.
     rt = OverlogRuntime(ORDER_PROGRAM)
+    rule = rule_named(rt, name)
     plans = plans_for(rt, name)
-    written = [s.name for s in plans.full.steps]
-    for plan in plans.by_pos:
-        assert [s.name for s in plan.steps] == written
+    for plan in (plans.full, *plans.by_pos):
+        order = body_order(rule, plan.drive, rt.catalog)
+        assert [elem for elem, _view in order] == list(rule.body)
     assert plans.by_removed == {}
 
 
-@pytest.mark.parametrize("mode", ["source", "closure", "interpreter"])
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_reordered_and_pinned_bodies_agree_with_naive_evaluation(mode):
     def run(**kwargs):
         rt = OverlogRuntime(ORDER_PROGRAM, **kwargs)
@@ -309,4 +320,4 @@ def test_reordered_and_pinned_bodies_agree_with_naive_evaluation(mode):
             rt.tick()
         return sorted(rt.rows("out"))
 
-    assert run(compile_mode=mode) == run(naive=True)
+    assert run(**ENGINES[mode]) == run(engine="naive")

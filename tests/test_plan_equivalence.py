@@ -1,26 +1,26 @@
-"""Differential testing of the compiled-plan evaluator.
+"""Differential testing of the evaluator engines.
 
 Every seed generates a random Overlog program (multi-way joins, negation,
 aggregates, deletion rules, deferred ``@next`` rules, ``@``-located heads,
 wildcards, assignments, conditions) plus a random multi-timestep workload,
-then runs it under five evaluator configurations:
+then runs it under four evaluator configurations:
 
-* **compiled** — the default tier: cached plans lowered to generated
-  Python source (``compile_mode="source"``, repro.overlog.codegen),
-* **closure** — ``compile_mode="closure"``: the step-pipeline tier the
-  source emitter was derived from,
-* **interpreted** — ``compile_plans=False``: the AST-walking semi-naive
-  reference the plans were compiled from,
-* **naive** — ``naive=True``: textbook full re-evaluation every round
-  (:meth:`Evaluator._run_stratum_naive`), the ground-truth semantics,
-* **ledgered** — the default tier again but with the provenance ledger
-  and an aggressive 1-in-2 plan profiler attached (pure observers).
+* **source** — the default engine: every plan runs as generated Python
+  source (repro.overlog.codegen),
+* **interpreter** — ``engine="interpreter"``: the AST-walking
+  semi-naive reference,
+* **naive** — ``engine="naive"``: textbook full re-evaluation every
+  round (:meth:`Evaluator._run_stratum_naive`), the ground-truth
+  semantics,
+* **observed** — the source engine with the provenance ledger and an
+  aggressive 1-in-2 plan profiler attached (pure observers).
 
-The compiled tiers must be *indistinguishable* from the interpreted
-reference — identical table fixpoints, send sets, per-rule fire counts,
-derivation totals and semi-naive pass counts — and all must agree with
-naive evaluation on fixpoints and sends (fire counts differ under naive
-evaluation by design: it re-derives everything every round).
+Observed must equal source in everything.  Source must be
+*indistinguishable* from the interpreter — identical table fixpoints,
+sends, per-rule fire counts, derivation totals and semi-naive pass
+counts — and both must agree with naive evaluation on fixpoints and send
+sets (fire counts differ under naive evaluation by design: it re-derives
+everything every round).
 
 Programs are generated in layers so stratification always succeeds, and
 use only deterministic builtins with modular arithmetic so every fixpoint
@@ -31,7 +31,7 @@ row per key per step, which displaces rows without any order to be
 sensitive to.  Every other seed also negates a relation that a selective
 delete rule empties a little at a time, so rows leave relations read
 under ``notin`` (deletion and displacement) in a guaranteed share of the
-programs and the removal-driven plans run in all five variants.  The
+programs and the removal-driven plans run in all four variants.  The
 same seeds aggregate over that shrinking relation, every third seed
 aggregates over ``k0`` and every fourth hides a column of the aggregated
 relation behind a wildcard (or all of them), so retraction, displacement
@@ -466,35 +466,25 @@ def test_compiled_plans_match_reference_and_naive(seed):
     program = gen.generate(seed)
     batches = gen.workload()
 
-    compiled = run_variant(program, batches)  # source-codegen tier (default)
-    closure = run_variant(program, batches, compile_mode="closure")
-    interpreted = run_variant(program, batches, compile_plans=False)
-    naive = run_variant(program, batches, naive=True)
-    # The generated-source tier and the closure tier it was lowered from
-    # must be bit-identical in every observable.
-    assert closure == compiled, str(program)
+    source = run_variant(program, batches)
+    interpreter = run_variant(program, batches, engine="interpreter")
+    naive = run_variant(program, batches, engine="naive")
     # The provenance ledger + sampled profiler must be pure observers:
-    # with both enabled (and an aggressive 1-in-2 sampling rate so the
-    # profiler's own execution paths run constantly), the compiled
-    # evaluator must stay bit-identical to its unobserved self.
-    ledgered = run_variant(
+    # with both enabled (and an aggressive 1-in-2 sampling rate so sampled
+    # and unsampled executions interleave constantly), the engine must
+    # stay bit-identical to its unobserved self.
+    observed = run_variant(
         program,
         batches,
         provenance=True,
         profile=True,
         profile_sample_every=2,
     )
-    assert ledgered == compiled, str(program)
+    assert observed == source, str(program)
 
-    # The compiled path must be indistinguishable from the interpreted
-    # reference, down to per-rule fire counts and semi-naive pass counts.
-    assert compiled["tables"] == interpreted["tables"], str(program)
-    assert compiled["sends"] == interpreted["sends"], str(program)
-    assert compiled["rule_fires"] == interpreted["rule_fires"], str(program)
-    assert compiled["derivations"] == interpreted["derivations"], str(program)
-    assert (
-        compiled["stratum_iterations"] == interpreted["stratum_iterations"]
-    ), str(program)
+    # The generated source must be indistinguishable from the interpreter,
+    # down to per-rule fire counts and semi-naive pass counts.
+    assert source == interpreter, str(program)
 
     # ... and both must agree with ground-truth naive evaluation on the
     # observable outcome.  Fire counts differ under naive re-derivation by
@@ -502,5 +492,5 @@ def test_compiled_plans_match_reference_and_naive(seed):
     # re-derives — and hence re-sends — located heads every step it finds
     # them active; the per-step send dedup only spans one step), so sends
     # are compared as sets against naive.
-    assert compiled["tables"] == naive["tables"], str(program)
-    assert set(compiled["sends"]) == set(naive["sends"]), str(program)
+    assert source["tables"] == naive["tables"], str(program)
+    assert set(source["sends"]) == set(naive["sends"]), str(program)

@@ -12,7 +12,8 @@ from repro.overlog import OverlogRuntime
 from repro.overlog.catalog import Table
 from repro.overlog.ast import TableDecl
 from repro.overlog.functions import stable_hash
-from repro.sim import LatencyModel, Network, Simulator
+from repro.sim import LatencyModel, Simulator
+from repro.transport import SimTransport
 
 settings.register_profile(
     "repro", suppress_health_check=[HealthCheck.too_slow], deadline=None
@@ -205,7 +206,7 @@ class TestNetworkProperties:
     @given(st.integers(0, 2**31), st.integers(1, 40))
     def test_per_link_fifo_under_any_seed(self, seed, count):
         sim = Simulator()
-        net = Network(sim, latency=LatencyModel(1, 30), seed=seed)
+        net = SimTransport(sim, latency=LatencyModel(1, 30), seed=seed)
         got = []
         net.register(
             "dst",

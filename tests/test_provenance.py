@@ -1,7 +1,9 @@
 """Tests for the provenance layer: the derivation ledger, the why /
 why-not debugger (single-node and stitched across the simulated
-cluster), and the sampled plan profiler."""
+cluster), the sampled plan profiler, and the contract both observers
+keep: attaching them changes neither results nor the code that runs."""
 
+import sys
 
 from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode
 from repro.metrics.export import hot_rules_json, render_hot_rules
@@ -444,6 +446,89 @@ class TestProfiler:
     def test_profile_disabled_runtime(self):
         rt = OverlogRuntime(TC)
         assert "disabled" in rt.profile_report()
+
+
+# ---------------------------------------------------------------------------
+# Observer contract
+# ---------------------------------------------------------------------------
+
+
+def run_fs_workload(**observers):
+    """A BOOM-FS master through a small namespace workload: its tables,
+    sends and fire counts, and — with ``count_calls`` — how many calls of
+    the master's evaluator went to generated functions and how many to
+    the interpreter."""
+    count_calls = observers.pop("count_calls", False)
+    cluster = Cluster(seed=0, latency=LatencyModel(1, 1))
+    master = cluster.add(BoomFSMaster("master", replication=2, **observers))
+    if master.runtime.profiler is not None:
+        master.runtime.profiler.sample_every = 1  # time every execution
+    for i in range(2):
+        cluster.add(DataNode(f"dn{i}", masters=["master"], heartbeat_ms=300))
+    fs = cluster.add(BoomFSClient("client", masters=["master"]))
+    evaluator = master.runtime.evaluator
+    sends = []
+    tick = master.runtime.tick
+
+    def recording_tick(*args, **kwargs):
+        result = tick(*args, **kwargs)
+        sends.extend(result.sends)
+        return result
+
+    master.runtime.tick = recording_tick
+    calls = {"generated": 0, "interpreted": 0}
+
+    def count(frame, event, _arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename.startswith("<codegen:"):
+            if frame.f_locals.get("ev") is evaluator:
+                calls["generated"] += 1
+        elif code.co_name in ("_body_envs", "_eval_rule"):
+            if frame.f_locals.get("self") is evaluator:
+                calls["interpreted"] += 1
+
+    if count_calls:
+        sys.setprofile(count)
+    try:
+        cluster.run_for(700)
+        fs.mkdir("/a")
+        fs.mkdir("/a/b")
+        fs.write("/a/f", b"x" * 300)
+        fs.ls("/a")
+        fs.exists("/a/f")
+        fs.mv("/a/f", "/a/b/g")
+        fs.stat("/a/b/g")
+        fs.rm("/a/b/g")
+        cluster.run_for(1000)
+    finally:
+        sys.setprofile(None)
+    return {
+        "tables": {
+            name: sorted(master.runtime.rows(name), key=repr)
+            for name in master.runtime.catalog.tables
+        },
+        "sends": sends,
+        "rule_fires": dict(evaluator.rule_fires),
+    }, calls, master.runtime.profiler
+
+
+class TestObserversRunTheEngine:
+    def test_ledger_and_profiler_change_neither_results_nor_code_path(self):
+        plain, _, _ = run_fs_workload()
+        observed, calls, profiler = run_fs_workload(
+            provenance=True, profile=True, count_calls=True
+        )
+        profiler_execs = sum(
+            r["execs"] for r in profiler.hot_rules()["rules"]
+        )
+        assert observed == plain
+        # Every plan execution (each one sampled: sample_every=1) was a
+        # call of the plan's generated function, and nothing was
+        # interpreted.
+        assert calls["generated"] == profiler_execs > 0
+        assert calls["interpreted"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ Rules that read the relation positively have nothing to do (tables
 persist, there is no view healing); a rule that reads it under ``notin``
 is driven by the removed rows through its ``removed@k`` plan and fires
 exactly the bindings the row was blocking, exactly once.  The
-differential harness (test_plan_equivalence.py) holds the five evaluator
+differential harness (test_plan_equivalence.py) holds the four evaluator
 variants equal on random programs; these tests pin the cases one by one,
-on every tier, with ``f_newid()`` in the head so a second firing of a
+on both semi-naive engines and under observers, with ``f_newid()`` in the head so a second firing of a
 binding would show as a second row.
 """
 
@@ -16,7 +16,14 @@ import pytest
 from repro.overlog import OverlogRuntime
 from repro.overlog.catalog import Table
 
-TIERS = ["source", "closure", "interpreter"]
+# Each engine a semi-naive result must not depend on; "observed" is the
+# source engine with the provenance ledger and an every-execution
+# profiler attached.
+ENGINES = {
+    "source": {},
+    "observed": {"provenance": True, "profile": True, "profile_sample_every": 1},
+    "interpreter": {"engine": "interpreter"},
+}
 
 GUARDED = """
 program guarded;
@@ -41,9 +48,9 @@ def settle(rt):
         rt.tick()
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_removed_blocker_fires_the_blocked_binding_once(mode):
-    rt = OverlogRuntime(GUARDED, compile_mode=mode)
+    rt = OverlogRuntime(GUARDED, **ENGINES[mode])
     run(rt, ("t", (1,)), ("t", (2,)), ("u", (1,)), ("u", (2,)),
         ("block", (1, 0)))
     assert [x for x, _ in rt.rows("out")] == [2]
@@ -57,9 +64,9 @@ def test_removed_blocker_fires_the_blocked_binding_once(mode):
     assert rt.evaluator.rule_fires["g1"] == 2
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_blocker_removed_and_body_row_inserted_in_one_step_fires_once(mode):
-    rt = OverlogRuntime(GUARDED, compile_mode=mode)
+    rt = OverlogRuntime(GUARDED, **ENGINES[mode])
     run(rt, ("t", (1,)), ("block", (1, 0)))
     run(rt, ("unblock", (1,)))
     # The deferred delete and the missing body row arrive together: the
@@ -71,9 +78,9 @@ def test_blocker_removed_and_body_row_inserted_in_one_step_fires_once(mode):
     assert rt.evaluator.rule_fires["g1"] == 1
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_displacement_whose_new_row_still_blocks_fires_nothing(mode):
-    rt = OverlogRuntime(GUARDED, compile_mode=mode)
+    rt = OverlogRuntime(GUARDED, **ENGINES[mode])
     run(rt, ("t", (1,)), ("u", (1,)), ("block", (1, 0)))
     run(rt, ("block", (1, 5)))  # displaces (1, 0); X = 1 stays blocked
     assert rt.rows("block") == [(1, 5)]
@@ -81,9 +88,9 @@ def test_displacement_whose_new_row_still_blocks_fires_nothing(mode):
     assert rt.evaluator.rule_fires.get("g1", 0) == 0
 
 
-@pytest.mark.parametrize("mode", TIERS)
+@pytest.mark.parametrize("mode", list(ENGINES))
 def test_remove_and_reinsert_in_one_step_fires_nothing(mode):
-    rt = OverlogRuntime(GUARDED, compile_mode=mode)
+    rt = OverlogRuntime(GUARDED, **ENGINES[mode])
     run(rt, ("t", (1,)), ("u", (1,)), ("block", (1, 0)))
     run(rt, ("unblock", (1,)))
     # The @next delete applies at the start of this step, then the inbox
@@ -106,9 +113,9 @@ p2 delete block(X) :- unblock(X), block(X);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS + ["naive"])
+@pytest.mark.parametrize("mode", [*ENGINES, "naive"])
 def test_two_notin_on_one_relation(mode):
-    kwargs = {"naive": True} if mode == "naive" else {"compile_mode": mode}
+    kwargs = ENGINES.get(mode, {"engine": mode})
     rt = OverlogRuntime(TWO_NOTIN, **kwargs)
     run(rt, ("pair", (1, 1)), ("pair", (1, 2)), ("pair", (3, 3)),
         ("block", (1,)), ("block", (2,)))
@@ -127,10 +134,12 @@ def test_removal_plans_in_explain_and_no_plan_for_event_rules():
     rt = OverlogRuntime(GUARDED)
     text = rt.explain("g1")
     assert "[removed@0]" in text
-    # The plan is driven by the removed block rows, probes from there and
-    # still runs the notin itself.
+    # The plan is driven by the removed block rows, gets from there by
+    # primary key and still runs the notin itself.
     removed = text[text.index("[removed@0]"):]
-    assert removed.index("delta(block)") < removed.index("antijoin probe block")
+    assert removed.index("0. block: delta") < removed.index(
+        "antijoin block: pk-get [0]"
+    )
     # g2 reads an event: every binding holds a row of the current step,
     # so it never reacts to removals and gets no removal plan.
     assert "removed@" not in rt.explain("g2")
@@ -144,13 +153,13 @@ s1 seen(K, V) :- kv(K, V);
 """
 
 
-@pytest.mark.parametrize("mode", TIERS + ["naive"])
+@pytest.mark.parametrize("mode", [*ENGINES, "naive"])
 def test_row_inserted_and_displaced_in_one_step_is_no_delta(mode):
     # Pinned from tests/test_naive_equivalence.py::
     # test_stateful_program_with_deferred_rules, which falsified with
     # bumps=[('aba', -1), ('aba', 88)]: the first row is dead before any
     # rule runs, so no rule may fire on it.
-    kwargs = {"naive": True} if mode == "naive" else {"compile_mode": mode}
+    kwargs = ENGINES.get(mode, {"engine": mode})
     rt = OverlogRuntime(STALE, **kwargs)
     run(rt)  # past the bootstrap step, which evaluates every rule in full
     run(rt, ("kv", (1, -1)), ("kv", (1, 88)))

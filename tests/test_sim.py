@@ -6,8 +6,8 @@ from repro.sim import (
     Cluster,
     FailureSchedule,
     LatencyModel,
-    Network,
     OverlogProcess,
+    SimTransport,
     Simulator,
 )
 
@@ -70,7 +70,7 @@ class TestSimulator:
 class TestNetwork:
     def make(self, **kw):
         sim = Simulator()
-        net = Network(sim, **kw)
+        net = SimTransport(sim, **kw)
         inbox = []
         net.register(
             "b",

@@ -156,24 +156,24 @@ class TestSketchAggregates:
         rt.tick()
         return rt
 
-    @pytest.mark.parametrize("compile_plans", [True, False])
-    def test_percentile_aggregate(self, compile_plans):
-        rt = self._run(compile_plans=compile_plans)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_percentile_aggregate(self, compiled):
+        rt = self._run(engine="source" if compiled else "interpreter")
         (row,) = rt.rows("dig")
         assert is_tdigest_payload(row[1])
         assert TDigest.from_payload(row[1]).count == 100
         (pct,) = rt.rows("pct")
         assert abs(pct[1] - 50.5) <= 2.0
 
-    @pytest.mark.parametrize("compile_plans", [True, False])
-    def test_count_distinct_aggregate(self, compile_plans):
-        rt = self._run(compile_plans=compile_plans)
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_count_distinct_aggregate(self, compiled):
+        rt = self._run(engine="source" if compiled else "interpreter")
         (card,) = rt.rows("card")
         assert abs(card[1] - 100) <= 5
 
     def test_compiled_matches_interpreted_exactly(self):
-        compiled = self._run(compile_plans=True)
-        interpreted = self._run(compile_plans=False)
+        compiled = self._run(engine="source")
+        interpreted = self._run(engine="interpreter")
         for rel in ("dig", "pct", "card"):
             assert sorted(compiled.rows(rel)) == sorted(interpreted.rows(rel))
 
