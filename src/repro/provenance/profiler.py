@@ -46,11 +46,12 @@ class _PlanStat:
 class PlanProfiler:
     """Decides which plan executions to time, and accumulates results.
 
-    The evaluator counts every plan execution against the plan's stat
-    (:meth:`should_sample`, inlined on its hot path); a sampled one runs
-    through :meth:`run_plan`, which calls the plan's own function and
-    times it.  An aggregate rule's plans (``delta@i``, ``retract@i``,
-    ...) are sampled under their own tags like any other.
+    Every plan execution counts against the plan's stat — through
+    :meth:`runner`, the plan call of the evaluator's observed stratum
+    drivers, or :meth:`should_sample` for an aggregate's body plans — and
+    a sampled one runs through :meth:`run_plan`, which calls the plan's
+    own function and times it.  An aggregate rule's plans (``delta@i``,
+    ``retract@i``, ...) are sampled under their own tags like any other.
     """
 
     def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY):
@@ -90,6 +91,23 @@ class PlanProfiler:
         n = stat.execs
         stat.execs = n + 1
         return n % self.sample_every == 0
+
+    def runner(self, kind: str) -> Callable:
+        """The plan call of the evaluator's observed stratum drivers:
+        ``run(plan, ev, rows, exclude)`` runs the plan's ``kind``
+        (``plain`` / ``tracked``) function, counting the execution and
+        timing the sampled ones."""
+
+        def run(plan: Any, ev: Any, rows: Any, exclude: Any) -> Any:
+            fn = getattr(plan, kind) or getattr(plan.generate(), kind)
+            stat = plan._prof or self.link(plan)
+            n = stat.execs
+            stat.execs = n + 1
+            if n % self.sample_every:
+                return fn(ev, rows, exclude)
+            return self.run_plan(stat, fn, ev, rows, exclude)
+
+        return run
 
     # -- timed execution -----------------------------------------------------
 

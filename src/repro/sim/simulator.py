@@ -13,34 +13,31 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: int
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Returned by :meth:`Simulator.schedule`; allows cancellation."""
+    """Returned by :meth:`Simulator.schedule`; allows cancellation.
 
-    def __init__(self, event: _ScheduledEvent):
-        self._event = event
+    Wraps the event's heap entry ``[time, seq, action]``; cancelling
+    clears the action in place (the ``heapq`` documentation's pattern), so
+    the loop drops the entry when it surfaces."""
+
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list):
+        self._entry = entry
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        self._entry[2] = None
 
     @property
     def time(self) -> int:
-        return self._event.time
+        return self._entry[0]
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._entry[2] is None
 
 
 class Simulator:
@@ -48,7 +45,10 @@ class Simulator:
 
     def __init__(self):
         self.now: int = 0
-        self._queue: list[_ScheduledEvent] = []
+        # Heap of [time, seq, action] lists: list comparison orders them
+        # by time, then schedule order; seq is unique, so it never
+        # compares actions.  A cancelled entry's action is None.
+        self._queue: list[list] = []
         self._seq = itertools.count()
         self.events_processed = 0
 
@@ -63,39 +63,40 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at {time_ms}, current time is {self.now}"
             )
-        event = _ScheduledEvent(time=time_ms, seq=next(self._seq), action=action)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        entry = [time_ms, next(self._seq), action]
+        heapq.heappush(self._queue, entry)
+        return EventHandle(entry)
 
-    def _pop_runnable(self, until: Optional[int]) -> Optional[_ScheduledEvent]:
-        while self._queue:
-            if until is not None and self._queue[0].time > until:
+    def _pop_runnable(self, until: Optional[int]) -> Optional[list]:
+        queue = self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
                 return None
-            event = heapq.heappop(self._queue)
-            if not event.cancelled:
-                return event
+            entry = heapq.heappop(queue)
+            if entry[2] is not None:
+                return entry
         return None
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        event = self._pop_runnable(until=None)
-        if event is None:
+        entry = self._pop_runnable(until=None)
+        if entry is None:
             return False
-        self.now = event.time
+        self.now = entry[0]
         self.events_processed += 1
-        event.action()
+        entry[2]()
         return True
 
     def run_until(self, time_ms: int) -> None:
         """Process every event scheduled at or before ``time_ms``; the
         clock ends exactly at ``time_ms``."""
         while True:
-            event = self._pop_runnable(until=time_ms)
-            if event is None:
+            entry = self._pop_runnable(until=time_ms)
+            if entry is None:
                 break
-            self.now = event.time
+            self.now = entry[0]
             self.events_processed += 1
-            event.action()
+            entry[2]()
         self.now = max(self.now, time_ms)
 
     def run_while(
@@ -109,12 +110,12 @@ class Simulator:
         False on timeout or queue exhaustion while it still held.
         """
         while predicate():
-            event = self._pop_runnable(until=max_time_ms)
-            if event is None:
+            entry = self._pop_runnable(until=max_time_ms)
+            if entry is None:
                 return not predicate()
-            self.now = event.time
+            self.now = entry[0]
             self.events_processed += 1
-            event.action()
+            entry[2]()
         return True
 
     def run_until_condition(
@@ -125,4 +126,4 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if entry[2] is not None)

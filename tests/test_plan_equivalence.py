@@ -26,9 +26,11 @@ Programs are generated in layers so stratification always succeeds, and
 use only deterministic builtins with modular arithmetic so every fixpoint
 is finite and order-independent.  Rule heads use whole-row keys, so the
 insertion-order-sensitive kind of primary-key displacement cannot occur;
-the one keyed table, ``k0``, is written by the workload only, at most one
-row per key per step, which displaces rows without any order to be
-sensitive to.  Every other seed also negates a relation that a selective
+the keyed table ``k0`` is written by the workload only, at most one row
+per key per step, which displaces rows without any order to be sensitive
+to, and every third seed copies it into the keyed ``dk`` — one row per
+key per step again — so displacement also happens inside a pass, under
+a ``notin`` no removal plan can answer.  Every other seed also negates a relation that a selective
 delete rule empties a little at a time, so rows leave relations read
 under ``notin`` (deletion and displacement) in a guaranteed share of the
 programs and the removal-driven plans run in all four variants.  The
@@ -339,22 +341,47 @@ class ProgramGenerator:
             )
         )
 
+    def add_keyed_copy(self, index: int) -> None:
+        """``dk``, keyed on its first column, copies ``k0``: a new ``k0``
+        value displaces the ``dk`` row of its key inside a pass.  A rule
+        over ``t0`` reads ``dk`` under a ``notin`` with a variable bound
+        nowhere else, so no removal plan can answer the displaced row and
+        the rule is re-evaluated in full.  Draws nothing from the RNG, so
+        the rest of the program and the workload stay as they were."""
+        k, v = self.fresh_var(), self.fresh_var()
+        self.decls.append(TableDecl("dk", (0,), ("Int", "Int")))
+        self.rules.append(
+            Rule(self.rule_name("key"), Atom("dk", (k, v)), (Atom("k0", (k, v)),))
+        )
+        name, arity = self.sources[0]
+        body = tuple(self.fresh_var() for _ in range(arity))
+        self.decls.append(TableDecl(f"d{index}", (), ("Int",)))
+        self.rules.append(
+            Rule(
+                self.rule_name("neg"),
+                Atom(f"d{index}", body[:1]),
+                (Atom(name, body), NotIn(Atom("dk", (body[0], self.fresh_var())))),
+            )
+        )
+
     def add_located_rule(self, index: int) -> None:
         """An ``@``-located head: rows whose first column is a remote
-        address become sends, local ones insert locally."""
+        address become sends, local ones insert locally.  A twin rule
+        derives the same rows, so every send is deduplicated once."""
         name = f"dl{index}"
         body, bound = self.make_body(min_atoms=1, max_atoms=1)
         a = self.fresh_var()
         body.append(Atom("addr", (a,)))
         payload = bound[0] if bound else Const(0)
         self.decls.append(TableDecl(name, (), ("Str", "Int")))
-        self.rules.append(
+        self.rules += [
             Rule(
                 self.rule_name("loc"),
                 Atom(name, (a, payload), loc=0),
                 tuple(body),
             )
-        )
+            for _twin in range(2)
+        ]
 
     # -- top level ----------------------------------------------------------
 
@@ -380,6 +407,8 @@ class ProgramGenerator:
                 n_derived + 2, over=self.rng.choice(self.stored_bases()),
                 hide=True,
             )
+        if seed % 3 == 1:
+            self.add_keyed_copy(n_derived + 3)
         if self.rng.random() < 0.6:
             self.add_delete_rule()
         if self.rng.random() < 0.6:
@@ -494,3 +523,121 @@ def test_compiled_plans_match_reference_and_naive(seed):
     # are compared as sets against naive.
     assert source["tables"] == naive["tables"], str(program)
     assert set(source["sends"]) == set(naive["sends"]), str(program)
+
+
+# -- what the seeds exercise ----------------------------------------------------
+
+# Branches of the generated stratum drivers (codegen.generate_stratum_source)
+# the seeds must keep reaching, each in at least MIN_SEEDS of them.
+DRIVER_BRANCHES = (
+    "idle skip",
+    "aggregate gate",
+    "removal plan",
+    "full-dirty evaluation",
+    "full fallback for removals",
+    "constant column filters rows",
+    "3+ passes",
+    "pk displacement in a pass",
+    "remote-send dedup",
+    "deferred head",
+    "delete head",
+)
+MIN_SEEDS = 10
+
+
+def driver_branches(monkeypatch, program, batches) -> set[str]:
+    """Which DRIVER_BRANCHES one source-engine run reaches, seen through
+    the helpers the generated drivers call."""
+    from repro.overlog import eval as ev_mod
+    from repro.overlog.codegen import const_column
+
+    hits: set[str] = set()
+    Ev = ev_mod.Evaluator
+    bind, catch_up, run_agg = Ev._bind_driver, Ev._catch_up, Ev._run_aggregate
+    note, router, first_call = Ev._note_removed, Ev._router, ev_mod._first_call
+
+    def bind_driver(self, index):
+        driver, read = bind(self, index), self._stratum_exec[index]["read_rels"]
+
+        def run(ev):
+            if ev._active.isdisjoint(read):
+                hits.add("idle skip")
+            driver(ev)
+            if ev._result.stratum_iterations[-1][1] >= 3:
+                hits.add("3+ passes")
+
+        return run
+
+    def catch(self, index):
+        full, removals = catch_up(self, index)
+        readers = self._stratum_exec[index]["readers"]
+        dirty = {r for rel in self._full_dirty for r in readers.get(rel, ())}
+        if full & dirty:
+            hits.add("full-dirty evaluation")
+        if full - dirty:
+            hits.add("full fallback for removals")
+        if removals:
+            hits.add("removal plan")
+        return full, removals
+
+    def aggregate(self, entry, events, index, acc):
+        if events is not None:
+            hits.add("aggregate gate")
+        return run_agg(self, entry, events, index, acc)
+
+    def note_removed(self, rel, row):
+        if 0 <= self._cur_stratum < len(self.stratum_buckets):
+            hits.add("pk displacement in a pass")
+        return note(self, rel, row)
+
+    def route_of(self, rule):
+        route, loc = router(self, rule), rule.head.loc
+
+        def counted(items, delta):
+            if rule.deferred:
+                hits.add("deferred head")
+            elif rule.delete:
+                hits.add("delete head")
+            sends = len(self._result.sends)
+            route(items, delta)
+            if loc is not None and len(self._result.sends) - sends < sum(
+                row[loc] != self.local_address for _rel, row in items
+            ):
+                hits.add("remote-send dedup")
+
+        return counted
+
+    def plan_of(ns, name, plan):
+        fn, drive = first_call(ns, name, plan), plan.drive
+        if not drive or drive[0] != "delta":
+            return fn
+        atom = plan.rule.positives[drive[1]]
+        if const_column(atom)[0] is None:
+            return fn
+
+        def filtered(ev, rows, exclude):
+            if len(rows) < len(exclude.get(atom.name, ())):
+                hits.add("constant column filters rows")
+            return fn(ev, rows, exclude)
+
+        return filtered
+
+    with monkeypatch.context() as m:
+        m.setattr(Ev, "_bind_driver", bind_driver)
+        m.setattr(Ev, "_catch_up", catch)
+        m.setattr(Ev, "_run_aggregate", aggregate)
+        m.setattr(Ev, "_note_removed", note_removed)
+        m.setattr(Ev, "_router", route_of)
+        m.setattr(ev_mod, "_first_call", plan_of)
+        run_variant(program, batches)
+    return hits
+
+
+def test_the_seeds_exercise_every_driver_branch(monkeypatch):
+    seeds = dict.fromkeys(DRIVER_BRANCHES, 0)
+    for seed in SEEDS:
+        gen = ProgramGenerator(random.Random(seed))
+        program = gen.generate(seed)
+        for branch in driver_branches(monkeypatch, program, gen.workload()):
+            seeds[branch] += 1
+    assert min(seeds.values()) >= MIN_SEEDS, seeds
