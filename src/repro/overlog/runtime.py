@@ -187,7 +187,7 @@ class OverlogRuntime:
         planner = self.evaluator.planner
         if planner is None:
             return f"(no generated source: engine={self.evaluator.engine!r})"
-        return planner.render_source(rule_name)
+        return planner.render_source(rule_name, self.evaluator.observed)
 
     # -- provenance debugger (docs/PROVENANCE.md) -----------------------------
 
