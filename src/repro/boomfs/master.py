@@ -104,8 +104,6 @@ class BoomFSMaster(OverlogProcess):
         self.runtime.install("file", [(ROOT_FILE_ID, -1, "", True)])
         self.runtime.install("repfactor", [(self.replication,)])
         self.runtime.install("dn_timeout", [(self.dn_timeout_ms,)])
-        if self.runtime.metrics is None:
-            return  # metrics disabled (ablation benchmarks)
         # NameNode-level metrics ride on the runtime's registry: request
         # mix by op (locally inserted events are watchable; outbound
         # responses and repair orders are counted off the step's sends in
@@ -138,8 +136,6 @@ class BoomFSMaster(OverlogProcess):
         snap["gauges"]["fs.chunks.under_replicated"] = under
 
     def handle_step_result(self, result) -> None:
-        if self.runtime.metrics is None:
-            return
         counter = self.metrics.counter
         for _dest, relation, row in result.sends:
             if relation == "response":

@@ -10,7 +10,7 @@ Three pillars (see docs/OBSERVABILITY.md):
 
 The :mod:`repro.monitoring` package instruments *programs* (a rule
 rewrite, the paper's third revision); this package instruments the
-*runtime underneath the rules* — the two are compared by benchmark E8.
+*runtime underneath the rules*.
 """
 
 from .export import metrics_jsonl, render_dashboard, write_text

@@ -4,8 +4,7 @@ The observability layer mirrors the simulator's design constraints: all
 time is *virtual* (integer milliseconds from the discrete-event clock) and
 everything must be deterministic, so snapshots and exports of the same run
 are byte-identical.  Metrics are plain Python objects — no background
-threads, no wall-clock reads — cheap enough to stay always-on (the E4/E8
-benchmarks measure the cost).
+threads, no wall-clock reads — cheap enough to stay always-on.
 
 Three scopes:
 

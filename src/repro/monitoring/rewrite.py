@@ -3,8 +3,8 @@
 Because Overlog programs are data (tuples of rules), instrumentation is a
 *program rewrite*: for every rule, synthesize a twin rule with the same
 body whose head logs a ``trace_event`` tuple.  No component code changes;
-the instrumented program is simply loaded instead of the original.  The
-measured cost of the duplicated bodies is experiment E8.
+the instrumented program is simply loaded instead of the original, with
+twice the rules (tests/test_monitoring.py).
 """
 
 from __future__ import annotations

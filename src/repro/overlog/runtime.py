@@ -59,7 +59,6 @@ class OverlogRuntime:
         seed: int = 0,
         extra_functions: Optional[dict[str, Callable[..., Any]]] = None,
         engine: str = "source",
-        metrics: "NodeMetrics | bool | None" = None,
         provenance: bool = False,
         provenance_capacity: Optional[int] = None,
         profile: bool = False,
@@ -90,17 +89,8 @@ class OverlogRuntime:
             address,
             engine=engine,
         )
-        # Always-on runtime metrics (pass metrics=False to measure their
-        # cost, as benchmark E8 does).  A NodeMetrics instance may also be
-        # passed in to share a registry.
-        if metrics is False:
-            self.metrics: Optional[NodeMetrics] = None
-        elif metrics is None or metrics is True:
-            self.metrics = NodeMetrics(str(address))
-        else:
-            self.metrics = metrics
-        if self.metrics is not None:
-            self.metrics.bind_evaluator(self.evaluator)
+        self.metrics = NodeMetrics(str(address))
+        self.metrics.bind_evaluator(self.evaluator)
         # Optional provenance ledger + sampled plan profiler, both off by
         # default (the evaluator's hot path then pays only None checks).
         # Imported lazily so the engine has no hard provenance dependency.
@@ -355,8 +345,7 @@ class OverlogRuntime:
         self.last_step_ctx = step_ctx
         self.step_count += 1
         self.total_derivations += result.derivation_count
-        if self.metrics is not None:
-            self.metrics.record_step(self._now, result)
+        self.metrics.record_step(self._now, result)
         self._notify_watchers(result)
         return result
 

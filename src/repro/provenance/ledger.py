@@ -19,8 +19,7 @@ not delete entries — deleted or displaced tuples have their live entries
 on a stale reading reports "this was derived, then retracted at step N"
 instead of dangling.
 
-Recording is the evaluator's per-derivation hot path and must stay
-within the A1 overhead budget (<10% enabled vs disabled), so the ring
+Recording is the evaluator's per-derivation hot path, so the ring
 stores each record as a plain list (one ``BUILD_LIST`` beats a dozen
 slot stores) and the witness environments are stored as-is, with body
 reconstruction deferred to first read through the evaluator-installed

@@ -28,14 +28,12 @@ class Cluster(BaseCluster):
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
-        batching: bool = True,
     ):
         self.sim = Simulator()
         super().__init__(
             SimTransport(
                 self.sim, latency=latency, loss_rate=loss_rate, seed=seed
-            ),
-            batching=batching,
+            )
         )
         self.seed = seed
 

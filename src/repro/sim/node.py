@@ -120,7 +120,7 @@ class Process:
         if self.cluster is None or not len(self._outbox):
             return
         transport = self.cluster.transport
-        for env in self._outbox.flush(batch=self.cluster.batching):
+        for env in self._outbox.flush():
             transport.send(env)
 
     def discard_unsent(self) -> None:
@@ -266,10 +266,6 @@ class OverlogProcess(Process):
     node), which is right for protocol tests; throughput experiments set
     them to expose the metadata plane as a bottleneck.
 
-    ``METRICS`` is forwarded to the runtime: ``None`` (default) enables
-    the always-on registry, ``False`` disables it — an ablation hook for
-    measuring instrumentation overhead (bench E4/E8).
-
     ``provenance``/``profile`` turn on the runtime's derivation ledger
     and sampled plan profiler (both off by default — see
     docs/PROVENANCE.md); the ledger is registered with the cluster's
@@ -278,8 +274,6 @@ class OverlogProcess(Process):
     (a restarted node's provenance starts from blank, like the rest of
     its soft state).
     """
-
-    METRICS: Any = None
 
     def __init__(
         self,
@@ -303,8 +297,7 @@ class OverlogProcess(Process):
         self.step_cost_ms = step_cost_ms
         self.per_derivation_cost_us = per_derivation_cost_us
         self.runtime = self._make_runtime()
-        if self.runtime.metrics is not None:
-            self.metrics = self.runtime.metrics.registry
+        self.metrics = self.runtime.metrics.registry
         self._step_pending = False
         self._busy_until = 0
         self._timer_handle: Optional[TimerHandle] = None
@@ -316,7 +309,6 @@ class OverlogProcess(Process):
             address=self.address,
             seed=self._seed,
             extra_functions=self._extra_functions,
-            metrics=self.METRICS,
             provenance=self._provenance,
             provenance_capacity=self._provenance_capacity,
             profile=self._profile,
@@ -349,8 +341,7 @@ class OverlogProcess(Process):
         self.runtime = self._make_runtime()
         # Metrics are soft state too: a restarted node reports from zero,
         # and its fresh registry replaces the old one cluster-wide.
-        if self.runtime.metrics is not None:
-            self.metrics = self.runtime.metrics.registry
+        self.metrics = self.runtime.metrics.registry
         self._register_metrics()
         # A fresh runtime means a fresh ledger; re-register it so
         # cluster-wide why() keeps resolving through this node.

@@ -56,8 +56,8 @@ def fold_percentile(values: Iterable[Any]) -> tuple:
     values = list(values)
     # Fast path for the overwhelmingly common monitor group: one node
     # reports the metric, so its payload IS the fold.  Aggregates
-    # recompute per semi-naive pass; skipping the parse/merge/re-compress
-    # round-trip here is what keeps telemetry overhead sub-10% (E8b).
+    # recompute per semi-naive pass, so skipping the parse/merge/re-compress
+    # round-trip here keeps the telemetry monitor's steps cheap.
     if len(values) == 1 and is_tdigest_payload(values[0]):
         return values[0]
     digest = TDigest()

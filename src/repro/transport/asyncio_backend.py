@@ -385,7 +385,6 @@ class AsyncCluster(BaseCluster):
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
-        batching: bool = True,
         queue_size: int = 1024,
         time_scale: float = 1.0,
         tcp: bool = False,
@@ -400,7 +399,7 @@ class AsyncCluster(BaseCluster):
             time_scale=time_scale,
             tcp=tcp,
         )
-        super().__init__(transport, batching=batching)
+        super().__init__(transport)
         self.seed = seed
         self._closed = False
 

@@ -61,8 +61,8 @@ class TransportStats:
     protocol layers reason about and what the pre-envelope network
     counted, so historical benchmark numbers stay comparable.  The
     ``envelopes_*`` twins count wire messages; their ratio is the
-    batching factor the E4 ablation reports.  Drop counters count
-    envelopes; ``deltas_dropped`` totals the tuples inside them.
+    batching factor.  Drop counters count envelopes; ``deltas_dropped``
+    totals the tuples inside them.
     """
 
     sent: int = 0  # deltas handed to the transport

@@ -27,10 +27,10 @@ if TYPE_CHECKING:
 class BaseCluster:
     """A cluster of processes over one pluggable transport."""
 
-    #: Stamped into benchmark reports so A/E trajectories stay comparable.
+    #: Names the substrate, so callers can tell sim runs from real ones.
     backend = "base"
 
-    def __init__(self, transport: Transport, batching: bool = True):
+    def __init__(self, transport: Transport):
         # Observability: one cluster-wide metrics aggregator (every node's
         # registry is adopted into it on attach) and one tracer driven by
         # the transport clock (see docs/OBSERVABILITY.md).
@@ -43,9 +43,6 @@ class BaseCluster:
         self.transport = transport
         transport.tracer = self.tracer
         transport.metrics = self.metrics.adopt(MetricsRegistry("transport"))
-        #: Flush-on-fixpoint batching; False degrades to one envelope per
-        #: delta (the E4 ablation).
-        self.batching = batching
         self.processes: dict[Address, "Process"] = {}
         # Telemetry plane (docs/TELEMETRY.md): set by enable_telemetry;
         # holds (monitor address, interval, transport/trace export flags)

@@ -116,8 +116,7 @@ class Outbox:
 
     Nodes buffer every ``send`` here; the substrate flushes once per
     fixpoint/delivery unit, producing one envelope per destination in
-    first-use order (deterministic).  ``flush(batch=False)`` degrades to
-    one envelope per delta — the ablation mode benchmark E4 measures.
+    first-use order (deterministic).
     """
 
     def __init__(self, src: Address):
@@ -146,29 +145,19 @@ class Outbox:
         self._seq[dst] = seq
         return seq
 
-    def flush(self, batch: bool = True) -> list[Envelope]:
-        """Drain the buffers into envelopes (one per destination when
-        ``batch``, one per delta otherwise)."""
+    def flush(self) -> list[Envelope]:
+        """Drain the buffers into envelopes, one per destination."""
         if not self._buffers:
             return []
-        envelopes: list[Envelope] = []
-        for dst, entries in self._buffers.items():
-            if batch:
-                envelopes.append(
-                    Envelope.make(
-                        self.src,
-                        dst,
-                        [(rel, row) for rel, row, _ in entries],
-                        [mid for _, _, mid in entries],
-                        seq=self._next_seq(dst),
-                    )
-                )
-            else:
-                envelopes.extend(
-                    Envelope.single(
-                        self.src, dst, rel, row, mid, seq=self._next_seq(dst)
-                    )
-                    for rel, row, mid in entries
-                )
+        envelopes = [
+            Envelope.make(
+                self.src,
+                dst,
+                [(rel, row) for rel, row, _ in entries],
+                [mid for _, _, mid in entries],
+                seq=self._next_seq(dst),
+            )
+            for dst, entries in self._buffers.items()
+        ]
         self._buffers.clear()
         return envelopes

@@ -32,7 +32,7 @@ class LatencyModel:
     ``kb_per_ms`` models link bandwidth for bulk transfers (chunk data);
     zero disables the size-dependent term (control messages dominate).
     Batching amortizes the base+jitter terms across every delta in the
-    envelope — the win the E4 ablation quantifies.
+    envelope.
     """
 
     base_ms: int = 1

@@ -1,9 +1,8 @@
 """Open/closed-loop load driver for BOOM-FS metadata operations.
 
-The E4 benchmark's generator is closed-loop only and measures
-throughput; this driver exists for *latency* work: it drives a seeded
-mix of NameNode metadata operations (mkdir/create/exists/ls/mv/rm)
-against either backend, optionally starting a PR 1 trace per operation
+This driver exists for *latency* work: it drives a seeded mix of
+NameNode metadata operations (mkdir/create/exists/ls/mv/rm) against
+either backend, optionally starting a causal trace per operation
 so the latency accounting layer (:mod:`repro.latency`) can explain the
 slow tail, and reports p50/p99/p999 CDFs per operation type.
 

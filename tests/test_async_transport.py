@@ -137,7 +137,7 @@ class TestBackpressure:
         # Acceptance: a fast producer into a slow consumer with a tiny
         # bounded queue stalls (visible in the metrics registry) but
         # every delta still arrives exactly once.
-        cluster = AsyncCluster(time_scale=SCALE, batching=False)
+        cluster = AsyncCluster(time_scale=SCALE)
         sink = _SlowSink("sink")
         cluster.processes[sink.address] = sink
         sink.attach(cluster)
@@ -149,9 +149,10 @@ class TestBackpressure:
         )
         producer = cluster.add(_SlowSink("producer"))
         total = 60
-        with producer.sending():
-            for i in range(total):
-                producer.send("sink", "x", (i,))
+        # Sends outside a sending() scope flush one envelope each, so the
+        # producer outruns the two-slot queue.
+        for i in range(total):
+            producer.send("sink", "x", (i,))
         ok = cluster.run_until(
             lambda: len(sink.rows) == total, max_time_ms=60_000
         )

@@ -89,14 +89,6 @@ class TestRuntimeMetrics:
         assert all(n >= 1 for _, n in result.stratum_iterations)
         assert rt.evaluator.stratum_iteration_totals
 
-    def test_metrics_can_be_disabled(self):
-        rt = OverlogRuntime(parse(SIMPLE), address="n", metrics=False)
-        rt.insert("a", (1,))
-        rt.tick()
-        assert rt.metrics is None
-        # The evaluator's own counters are inherent and stay on.
-        assert rt.evaluator.rule_fires["r1"] == 1
-
 
 # -- cluster aggregation ------------------------------------------------------
 

@@ -77,6 +77,7 @@ class TestRuleTracing:
         # The headline claim: instrument the real NameNode without
         # touching it.
         traced = add_rule_tracing(master_program())
+        assert len(traced.rules) == 2 * len(master_program().rules)
         # construct a runtime over the traced program directly
         rt = OverlogRuntime(traced, address="master2")
         rt.install("file", [(0, -1, "", True)])

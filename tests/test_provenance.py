@@ -123,6 +123,14 @@ class TestWhy:
         text = rt.why("path", ("a", "d"))
         assert "rule s2" in text and "external input" in text
 
+    def test_chain_grown_one_link_per_step_resolves_at_depth_64(self):
+        rt = make(TC)
+        for i in range(64):
+            rt.insert("link", (str(i), str(i + 1)))
+            rt.tick()
+        dag = rt.why("path", ("0", "64"), fmt="json")
+        assert dag["status"] == "derived"
+
     def test_why_unknown_tuple(self):
         rt = make(TC)
         rt.insert("link", ("a", "b"))

@@ -34,6 +34,7 @@ from repro.telemetry import (
     trace_latency_digest,
     trace_latency_rows,
 )
+from repro.workload import LoadDriver, run_driver
 
 # -- the wire serializer -------------------------------------------------------
 
@@ -514,6 +515,23 @@ class TestClusterTelemetry:
         assert any(
             m.startswith("fs.requests.") for m in monitor.rollup_counters()
         )
+
+    def test_export_loop_leaves_virtual_completion_alone(self):
+        # Export timers interleave with steps at equal timestamps, so the
+        # workload may finish a tick or two apart, but telemetry must not
+        # slow it down in virtual time.
+        finished_ms = {}
+        for telemetry in (False, True):
+            cluster = Cluster(latency=LatencyModel(1, 1))
+            cluster.add(BoomFSMaster("master", replication=2))
+            if telemetry:
+                monitor = cluster.enable_telemetry(interval_ms=100)
+            driver = run_driver(
+                cluster, LoadDriver(total_ops=600, trace=False)
+            )
+            finished_ms[telemetry] = max(r.end_ms for r in driver.records)
+        assert monitor.samples()
+        assert abs(finished_ms[True] - finished_ms[False]) <= 5, finished_ms
 
     def test_under_replication_alarm_fires_on_a_real_master(self):
         # replication=3 with one DataNode: every chunk under-replicated.

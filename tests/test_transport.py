@@ -64,13 +64,6 @@ class TestOutbox:
         ]
         assert len(box) == 0
 
-    def test_unbatched_mode_one_envelope_per_delta(self):
-        box = Outbox("src")
-        box.add("b", "x", (1,))
-        box.add("b", "y", (2,))
-        envs = box.flush(batch=False)
-        assert [len(e) for e in envs] == [1, 1]
-
     def test_seq_numbers_are_per_destination(self):
         box = Outbox("src")
         box.add("b", "x", (1,))
@@ -153,24 +146,16 @@ def _fanout_node(address):
 
 
 class TestFixpointBatching:
-    def _run(self, batching):
-        cluster = Cluster(latency=LatencyModel(1, 0), batching=batching)
+    def test_fixpoint_sends_batch_into_one_envelope(self):
+        cluster = Cluster(latency=LatencyModel(1, 0))
         src = cluster.add(_fanout_node("src"))
         sink = cluster.add(OverlogProcess("sink", COUNT_PROGRAM))
         src.inject("go", ())
         cluster.run_for(50)
         assert sorted(sink.runtime.rows("seen")) == [(i,) for i in range(4)]
-        return cluster.transport.stats
-
-    def test_fixpoint_sends_batch_into_one_envelope(self):
-        stats = self._run(batching=True)
+        stats = cluster.transport.stats
         assert stats.sent == 4
         assert stats.envelopes_sent == 1
-
-    def test_batching_off_degrades_to_per_delta_envelopes(self):
-        stats = self._run(batching=False)
-        assert stats.sent == 4
-        assert stats.envelopes_sent == 4
 
     def test_batching_metrics_in_cluster_snapshot(self):
         cluster = Cluster(latency=LatencyModel(1, 0))

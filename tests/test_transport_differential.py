@@ -7,7 +7,7 @@ final table states and identical send multisets (modulo delivery order).
 
 Two workloads exercise that claim:
 
-* the E4 metadata workload — a confluent (CALM) sequence of BOOM-FS
+* a metadata workload — a confluent (CALM) sequence of BOOM-FS
   metadata operations, compared *exactly*: final master tables and the
   full multiset of ``(src, dst, relation, row)`` deltas;
 * seeded Paxos — leader election plus replicated submissions, compared
