@@ -56,7 +56,8 @@ rows = [
 ]
 print(
     render_table(
-        ["phase", "tasks", "min", "p25", "p50", "p75", "p95", "max", "mean"],
+        ["phase", "tasks", "min", "p25", "p50", "p75", "p95", "p99", "p999",
+         "max", "mean"],
         rows,
         title="Task completion offsets from submit (ms)",
     )

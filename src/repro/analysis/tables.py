@@ -10,7 +10,14 @@ def render_table(
     rows: Sequence[Sequence[Any]],
     title: str = "",
 ) -> str:
-    """Render an aligned ASCII table (numbers right-aligned)."""
+    """Render an aligned ASCII table (numbers right-aligned).  Every row
+    must have one cell per header."""
+    for row in rows:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row {list(row)!r} has {len(row)} cells for "
+                f"{len(headers)} headers"
+            )
     cells = [[str(h) for h in headers]] + [
         [_fmt(c) for c in row] for row in rows
     ]

@@ -60,8 +60,13 @@ class CampaignSpec:
     match_window_ms: int = 8000
     #: Fault classes to inject, in slot order; () = no-fault control run.
     classes: tuple = FAULT_CLASSES
-    #: Straggler severity: must exceed ``arrival_ms`` so queueing builds
-    #: during the slowdown slot and the p99 SLO alarm has cause to fire.
+    #: Straggler severity: the victim's ``step_cost_ms`` during the
+    #: slowdown slot.  It delays each of the victim's steps by that much
+    #: (inputs arriving meanwhile join the delayed step), so every
+    #: request the victim serves is slower by it per step it takes and
+    #: the p99 SLO alarm has cause to fire.  It builds no queue: with
+    #: ``per_derivation_cost_us`` at 0 a step does not keep the node busy
+    #: (``OverlogProcess._run_step``).
     slowdown_cost_ms: int = 120
     #: asyncio backend only: virtual-ms per real-ms compression.
     time_scale: float = 10.0

@@ -19,15 +19,17 @@ following the execution order ``plan.body_order`` hands in, where
   collapses to a chain of dict lookups), a composite index probe on every
   bound column, or a scan.
 
-Four output shapes are emitted per plan: ``plain`` (head tuples, the
-default hot path), ``tracked`` (head tuples plus the final binding
-environment as a dict — what the provenance ledger consumes), ``envs``
-(binding environments only — the tracked-aggregate input), and ``agg``
-(the bindings' aggregated-values tuples, batched per group key in a dict
-— the untracked aggregate fold's input, skipping the environment dict
-entirely).  Wildcard-step deduplication uses a tuple of the bound locals
-in sorted name order, which discriminates exactly like the interpreter's
-``frozenset(env.items())`` because the key set is fixed per step.
+Two output shapes are emitted per plan: the untracked one — ``plain``
+for a rule (head tuples, the default hot path), ``agg`` for an
+aggregate (the bindings' aggregated-values tuples, batched per group key
+in a dict, skipping any environment dict) — and ``tracked``, the same
+with each head tuple or values tuple paired with its *witness*: the
+``((relation, row), ...)`` the positive atoms matched in rule order,
+built from the row locals the loops already hold — what the provenance
+ledger records.  Wildcard-step deduplication uses a tuple of the bound
+locals in sorted name order, which discriminates exactly like the
+interpreter's ``frozenset(env.items())`` because the key set is fixed
+per step, and keeps the first row of a binding.
 
 :func:`describe_steps` renders the same access paths as the step lines
 of the source header, ``explain()`` and the profiler's report, so the
@@ -133,6 +135,19 @@ def atom_needs_dedup(atom: Atom, table: Any = None) -> bool:
         if keys and set(keys) <= nonwild:
             return False
     return True
+
+
+def witness_slots(rule: Rule, order: list) -> tuple[int, ...]:
+    """For each positive atom of ``rule``, in rule order, its index among
+    the atoms of a ``plan.body_order`` result (a driving ``notin`` atom
+    or group key has none): where its row sits in execution order."""
+    atoms = [elem for elem, _view in order if isinstance(elem, Atom)]
+    slots: list[int] = []
+    for atom in rule.positives:
+        slots.append(next(
+            i for i, a in enumerate(atoms) if a is atom and i not in slots
+        ))
+    return tuple(slots)
 
 
 class Unsupported(Exception):
@@ -442,6 +457,7 @@ class _Emitter:
                 f"{ban} = None if exclude is None else exclude.get({atom.name!r})"
             )
         indent = self.emit_candidates(atom, access, row, indent, varmap)
+        self.rows.append(row)
         if ban is not None:
             self.w(indent, f"if {ban} is None or {row} not in {ban}:")
             indent += 1
@@ -486,11 +502,13 @@ class _Emitter:
 
     def emit_function(self, name: str, kind: str) -> str:
         """Emit one function and return its source.  ``kind`` picks the
-        output shape: ``plain`` -> (rel, row), ``tracked`` -> (rel, row,
-        env-dict), ``envs`` -> env-dict only."""
+        output shape: ``plain`` -> (rel, row) and ``tracked`` -> (rel,
+        row, witness) for a rule; ``agg`` -> values and ``tracked`` ->
+        (values, witness) per group key for an aggregate."""
         rule = self.rule
         self.preamble = []
         self.body = []
+        self.rows: list[str] = []  # row local of each atom, in order
         varmap: dict[str, str] = {}
         indent = 1
         for elem, source in self.order:
@@ -516,17 +534,18 @@ class _Emitter:
             else:
                 raise Unsupported(f"body element {elem!r}")
 
-        env_dict = (
-            "{" + ", ".join(f"{k!r}: {v}" for k, v in varmap.items()) + "}"
-        )
-        if kind == "envs":
-            self.w(indent, f"_append({env_dict})")
-        elif kind == "agg":
+        out = ""
+        if kind == "tracked":
+            out = ", (" + "".join(
+                f"({atom.name!r}, {self.rows[slot]}), "
+                for atom, slot in zip(rule.positives, witness_slots(rule, self.order))
+            ) + ")"
+        if rule.is_aggregate:
             # Pre-projected fold input for AggregatePlan: the
-            # aggregated-values tuple of each distinct binding, batched
-            # under its group-key tuple, in the exact positional order of
-            # ``group_fns`` / ``agg_specs`` — wildcard count<*> slots
-            # carry None, exactly like ``AggregatePlan.project``.
+            # aggregated-values tuple of each distinct binding (with its
+            # witness: tracked), batched under its group-key tuple, in the
+            # exact positional order of ``group_fns`` / ``agg_specs`` —
+            # wildcard count<*> slots carry None, like ``project``.
             keys = ", ".join(
                 self.expr(a, varmap)
                 for a in rule.head.args
@@ -538,27 +557,19 @@ class _Emitter:
                 if isinstance(a, AggSpec)
             )
             self.w(indent, f"_k = ({keys + ',' if keys else ''})")
-            self.w(indent, f"_v = ({vals},)")
+            self.w(indent, f"_v = (({vals},){out})" if out else f"_v = ({vals},)")
             self.w(indent, "_b = _get(_k)")
             self.w(indent, "if _b is None:")
             self.w(indent + 1, "_out[_k] = [_v]")
             self.w(indent, "else:")
             self.w(indent + 1, "_b.append(_v)")
         else:
-            if any(isinstance(a, AggSpec) for a in rule.head.args):
-                raise Unsupported("aggregate head in tuple-emitting plan")
             args = ", ".join(self.expr(a, varmap) for a in rule.head.args)
             head_tuple = f"({args + ',' if args else ''})"
-            if kind == "tracked":
-                self.w(
-                    indent,
-                    f"_append(({rule.head.name!r}, {head_tuple}, {env_dict}))",
-                )
-            else:
-                self.w(indent, f"_append(({rule.head.name!r}, {head_tuple}))")
+            self.w(indent, f"_append(({rule.head.name!r}, {head_tuple}{out}))")
 
         lines = [f"def {name}(ev, delta_rows=(), exclude=None):"]
-        if kind == "agg":
+        if rule.is_aggregate:
             lines += ["    _out = {}", "    _get = _out.get"]
         else:
             lines += ["    _out = []", "    _append = _out.append"]
@@ -658,8 +669,8 @@ def generate_plan_source(
 
     ``drive`` is what the plan's rows range over and fixes the body's
     execution order (``plan.body_order``).  Returns ``(fns, unit)``:
-    ``fns`` maps each requested kind (``plain`` / ``tracked`` / ``envs``
-    / ``agg``) to a function ``(ev, delta_rows, exclude)`` bound to this
+    ``fns`` maps each requested kind (``plain`` / ``agg`` / ``tracked``)
+    to a function ``(ev, delta_rows, exclude)`` bound to this
     runtime's tables, and is None when the emitter declined
     (``unit.reason`` says why); ``unit.source`` and ``unit.steps`` are
     the text and the step lines.
@@ -699,8 +710,8 @@ _EXPRS: dict[str, tuple] = {}
 def compile_expr(expr: Expr, functions: FunctionLibrary) -> Any:
     """Compile an expression AST into a function ``env -> value`` over a
     binding environment dict: the emitter's inline expression, for
-    aggregate projection and witness recipes, which read environments
-    after a generated body ran.  Compiled once per expression text."""
+    aggregate projection, which reads environments after a body ran.
+    Compiled once per expression text."""
     key = repr(expr)
     unit = _EXPRS.get(key)
     if unit is None:

@@ -24,7 +24,7 @@ from typing import Any, Iterable, Optional
 
 from .ast import Assign, Atom, BinOp, Cond, Const, Expr, FuncCall, NotIn, Rule, UnOp, Var
 from .catalog import Catalog, Row
-from .codegen import MAX_FIXPOINT_ITERATIONS
+from .codegen import MAX_FIXPOINT_ITERATIONS, witness_slots
 from .errors import CatalogError, EvaluationError
 from .functions import FunctionLibrary
 from .plan import (
@@ -35,7 +35,6 @@ from .plan import (
     Drive,
     PlanCache,
     body_order,
-    compile_expr,
     removal_drives,
 )
 from .strata import compute_strata, rules_by_stratum
@@ -204,12 +203,9 @@ class Evaluator:
         # with the deleting rule when deletions are applied.
         self._delete_rules: dict[tuple[str, Row], str] = {}
         self._deferred_delete_rules: dict[tuple[str, Row], str] = {}
-        # Per-rule witness-reconstruction recipes (provenance): how to
-        # rebuild each positive body atom's matched row from a final body
-        # environment.  Keyed by id(rule); cleared on program swap.
-        self._body_recipes: dict[int, tuple] = {}
-        # Interpreter: (id(rule), drive) -> plan.body_order result.
-        self._orders: dict[tuple, list] = {}
+        # Interpreter: (id(rule), drive) -> (plan.body_order result, its
+        # witness_slots).
+        self._orders: dict[tuple, tuple] = {}
         self._install_rules(rules)
         # Mutable per-step state.
         self._event_pool: dict[str, set[Row]] = {}
@@ -265,7 +261,6 @@ class Evaluator:
         self.strata = strata
         self.stratum_buckets = rules_by_stratum(rules, strata)
         self.rules = rules
-        self._body_recipes.clear()
         self._orders.clear()
         self._runs = None
         planner = self.planner
@@ -372,11 +367,9 @@ class Evaluator:
 
     def attach_ledger(self, ledger) -> None:
         """Attach a provenance :class:`DerivationLedger`: every plan then
-        runs in its ``tracked`` / ``envs`` shape.  Requires the source
-        engine."""
+        runs in its ``tracked`` shape.  Requires the source engine."""
         if self.planner is None:
             raise EvaluationError("provenance requires engine='source'")
-        ledger.resolver = self._witness_body
         self._ledger = ledger
         self._runs = None  # rebind: the observed drivers
 
@@ -824,27 +817,21 @@ class Evaluator:
         exclude: Optional[dict[str, set[Row]]],
     ) -> dict[Row, list]:
         """The contributions of one body plan of an aggregate rule: its
-        generated ``agg`` shape or, under the ledger (the environments
-        are the witnesses) and for a plan the emitter declined, its
-        environments projected by the fold.  Through the interpreter on
-        the engine without plans; timed when the profiler samples."""
+        generated ``agg`` shape or, under the ledger, its ``tracked``
+        one (each binding's values with the rows it matched); the
+        interpreter's bindings, projected by the fold, on the engine
+        without plans and for a plan the emitter declined.  Timed when
+        the profiler samples."""
         rule, rp, agg = entry[:3]
         tracked = self._ledger is not None
-        if rp is None:
-            envs = self._body_envs(rule, drive, rows, exclude)
-            return agg.project(envs, tracked)
-        plan = rp.by_drive[drive]
-        if plan._codegen is not None:
-            plan.generate()
-        fn = plan.agg
-        if tracked or fn is None:
-            envs_of = plan.envs
-
+        plan = None if rp is None else rp.by_drive[drive].generate()
+        fn = None if plan is None else plan.tracked if tracked else plan.agg
+        if fn is None:
             def fn(ev, rows, exclude):
-                return agg.project(envs_of(ev, rows, exclude), tracked)
+                return agg.project(ev._body_envs(rule, drive, rows, exclude), tracked)
 
         prof = self._profiler
-        if prof is not None and prof.should_sample(plan):
+        if plan is not None and prof is not None and prof.should_sample(plan):
             return prof.run_plan(plan._prof, fn, self, rows, exclude)
         return fn(self, rows, exclude)
 
@@ -995,7 +982,7 @@ class Evaluator:
                 rows.add(item[1])
 
     def _dispatch_head(
-        self, rule: Rule, rel: str, row: Row, witness: Any = None
+        self, rule: Rule, rel: str, row: Row, body: tuple = ()
     ) -> bool:
         """Route a derived head tuple; returns True when it extends the
         local database (and hence must join the semi-naive delta).
@@ -1004,10 +991,9 @@ class Evaluator:
         recorded: ``next`` for @next deferrals (at deferral time, so the
         deriving rule is known when the tuple re-enters next step),
         ``send`` for remote shipments, ``rule`` for genuinely-new local
-        insertions.  ``witness`` is the final body environment the tuple
-        was projected from (a tuple of them for aggregates); the body
-        tuples are reconstructed from it only when an entry is actually
-        recorded, so tracking costs nothing per joined row.
+        insertions.  ``body`` is the ``((rel, row), ...)`` the rule body
+        matched (for an aggregate, the rows of the group's witnesses),
+        recorded as it is.
         """
         ledger = self._ledger
         if rule.deferred:
@@ -1023,8 +1009,7 @@ class Evaluator:
                     if ledger is not None:
                         ledger.record(
                             "next", rule.name, self._cur_stratum,
-                            self._cur_pass, rel, row, witness,
-                            witness_rule=rule,
+                            self._cur_pass, rel, row, body,
                         )
             return False
         if rule.delete:
@@ -1043,121 +1028,21 @@ class Evaluator:
                     if ledger is not None:
                         ledger.record(
                             "send", rule.name, self._cur_stratum,
-                            self._cur_pass, rel, row, witness,
-                            dest=dest, witness_rule=rule,
+                            self._cur_pass, rel, row, body, dest,
                         )
                 return False
         inserted = self._insert_local(rel, row)
         if inserted and ledger is not None:
             ledger.record(
                 "rule", rule.name, self._cur_stratum, self._cur_pass,
-                rel, row, witness, None, rule,
+                rel, row, body,
             )
         return inserted
 
-    # -- witness reconstruction (provenance) ---------------------------------
+    # -- single-rule evaluation ---------------------------------------------
 
     # Witnesses kept (and hence recorded) per aggregate group.
     MAX_AGG_WITNESSES = MAX_AGG_WITNESSES
-
-    def _witness_body(self, rule: Rule, witness: Any) -> tuple:
-        """Body tuples ``((rel, row), ...)`` for a recorded derivation,
-        rebuilt from the final body environment(s) it was projected from.
-
-        Non-wildcard variable and constant columns are exact — they are
-        the very values the join matched.  Wildcard and expression
-        columns are re-resolved by probing the relation on the exact
-        columns; when several rows agree on those, the first probe hit is
-        recorded (a documented why-provenance restriction, see
-        docs/PROVENANCE.md).
-        """
-        if witness is None:
-            return ()
-        if rule.is_aggregate:
-            seen: set = set()
-            out: list = []
-            for env in witness:
-                for item in self._body_from_env(rule, env):
-                    if item not in seen:
-                        seen.add(item)
-                        out.append(item)
-            return tuple(out)
-        return self._body_from_env(rule, witness)
-
-    def _body_from_env(self, rule: Rule, env: Env) -> tuple:
-        recipe = self._body_recipes.get(id(rule))
-        if recipe is None:
-            recipe = self._witness_recipe(rule)
-            self._body_recipes[id(rule)] = recipe
-        out = []
-        for name, fns, probe in recipe:
-            if probe is None:
-                out.append((name, tuple(fn(env) for fn in fns)))
-                continue
-            arity, cols = probe
-            vals = tuple(fn(env) for fn in fns)
-            found = self._probe_witness_row(name, cols, vals, arity)
-            if found is None:
-                row: list = [None] * arity
-                for col, value in zip(cols, vals):
-                    row[col] = value
-                found = tuple(row)
-            out.append((name, found))
-        return tuple(out)
-
-    def _witness_recipe(self, rule: Rule) -> tuple:
-        """How to rebuild each positive body atom's matched row from a
-        final body environment.  Per atom: ``(name, column_fns, probe)``
-        — ``probe`` is None when every column is a bound variable or a
-        constant (the fns produce the full row), else ``(arity,
-        exact_cols)`` with fns for the exact columns only; the wildcard/
-        expression columns are re-resolved by probing the relation."""
-        recipe = []
-        functions = self.functions
-
-        def exact(arg: Any) -> bool:
-            return isinstance(arg, Const) or (
-                isinstance(arg, Var) and not arg.is_wildcard
-            )
-
-        for atom in rule.positives:
-            arity = len(atom.args)
-            cols = tuple(i for i, a in enumerate(atom.args) if exact(a))
-            fns = tuple(compile_expr(atom.args[i], functions) for i in cols)
-            probe = None if len(cols) == arity else (arity, cols)
-            recipe.append((atom.name, fns, probe))
-        return tuple(recipe)
-
-    def _probe_witness_row(
-        self, name: str, cols: tuple[int, ...], vals: tuple, arity: int
-    ) -> Optional[Row]:
-        """First stored row of ``name`` agreeing with the bound columns
-        (used for wildcard/expression columns the env cannot name).
-
-        Falls back to the ledger's own records when the tables miss:
-        resolution is lazy, so by the time a witness is read an event
-        tuple has vanished with its timestep (and a materialized row may
-        have been deleted) — but its own provenance entry still names it.
-        """
-        if self.catalog.is_materialized(name):
-            table = self.catalog.table(name)
-            if cols:
-                for row in table.rows_matching_cols(cols, vals):
-                    return row
-            else:
-                for row in table.rows_list():
-                    return row
-        else:
-            for row in self._event_pool.get(name, ()):
-                if len(row) == arity and all(
-                    row[c] == v for c, v in zip(cols, vals)
-                ):
-                    return row
-        if self._ledger is not None:
-            return self._ledger.find_row(name, cols, vals, arity)
-        return None
-
-    # -- single-rule evaluation ---------------------------------------------
 
     def _eval_rule(
         self,
@@ -1168,33 +1053,25 @@ class Evaluator:
         tracked: bool = False,
     ) -> list[tuple]:
         """Evaluate a non-aggregate rule body; returns derived head tuples
-        ``(rel, row)``, with the body environment as a third element when
-        ``tracked``.
+        ``(rel, row)``, with the witness (the body rows matched) as a
+        third element when ``tracked``.
 
         Under a ``drive`` the driving atom ranges only over
         ``delta_rows`` and the atoms :func:`plan.body_order` gives the
         full-minus-delta view skip the rows in ``exclude``, completing
         the exactly-once semi-naive split.
         """
-        envs = self._body_envs(rule, drive, delta_rows, exclude)
-        # ``_body_envs`` already deduplicates identical environments at
-        # every atom step, and the later body elements (assignments,
-        # conditions, negation) preserve distinctness — so the
-        # environments arriving here are pairwise distinct and need no
-        # second signature-freezing pass.  (Wildcard joins producing
-        # several identical environments fire once per distinct binding,
-        # which is what keeps nondeterministic builtins like f_uid from
-        # minting spurious extra tuples.)
-        head_name = rule.head.name
-        head_args = rule.head.args
+        # ``_body_envs`` yields pairwise-distinct bindings — a wildcard join
+        # fires once per binding, which keeps nondeterministic builtins
+        # like f_uid from minting spurious extra tuples — so no second
+        # dedup pass is needed.
+        head_name, head_args = rule.head.name, rule.head.args
         functions = self.functions
-        rows = [
-            tuple(eval_expr(arg, env, functions) for arg in head_args)
-            for env in envs
-        ]
-        if tracked:
-            return [(head_name, row, env) for row, env in zip(rows, envs)]
-        return [(head_name, row) for row in rows]
+        out = []
+        for env, body in self._body_envs(rule, drive, delta_rows, exclude):
+            row = tuple(eval_expr(arg, env, functions) for arg in head_args)
+            out.append((head_name, row, body) if tracked else (head_name, row))
+        return out
 
     def _body_envs(
         self,
@@ -1202,14 +1079,19 @@ class Evaluator:
         drive: Drive,
         delta_rows: Iterable[Row],
         exclude: Optional[dict[str, set[Row]]] = None,
-    ) -> list[Env]:
-        order = self._orders.get((id(rule), drive))
-        if order is None:
-            order = self._orders[(id(rule), drive)] = body_order(
-                rule, drive, self.catalog
-            )
+    ) -> list[tuple[Env, tuple]]:
+        """The distinct binding environments of a rule body, each with
+        its witness: the ``((rel, row), ...)`` its positive atoms matched,
+        in rule order.  A binding several rows match (a wildcard column)
+        keeps the first, as the generated dedup does."""
+        known = self._orders.get((id(rule), drive))
+        if known is None:
+            order = body_order(rule, drive, self.catalog)
+            known = self._orders[(id(rule), drive)] = (order, witness_slots(rule, order))
+        order, slots = known
         functions = self.functions
-        envs: list[Env] = [{}]
+        # (environment, rows matched so far in execution order) pairs.
+        envs: list[tuple[Env, tuple]] = [({}, ())]
         for elem, view in order:
             if not envs:
                 return []
@@ -1225,12 +1107,12 @@ class Evaluator:
                 banned = None
                 if view == _SRC_POST_DELTA and exclude:
                     banned = exclude.get(elem.name)
-                new_envs: list[Env] = []
+                new_envs: list[tuple[Env, tuple]] = []
                 # Wildcard columns can match many rows onto the *same*
                 # binding; dedupe eagerly so later (possibly
                 # nondeterministic) assignments fire once per binding.
                 seen: set[frozenset] = set()
-                for env in envs:
+                for env, matched_rows in envs:
                     for row in rows_of(env):
                         if banned and row in banned:
                             continue
@@ -1239,12 +1121,12 @@ class Evaluator:
                             signature = frozenset(matched.items())
                             if signature not in seen:
                                 seen.add(signature)
-                                new_envs.append(matched)
+                                new_envs.append((matched, matched_rows + (row,)))
                 envs = new_envs
             elif isinstance(elem, NotIn):
                 rows_of = self._candidates(elem.atom, envs)
                 envs = [
-                    env for env in envs
+                    (env, matched_rows) for env, matched_rows in envs
                     if not any(
                         match_atom(elem.atom, row, env, functions) is not None
                         for row in rows_of(env)
@@ -1252,30 +1134,36 @@ class Evaluator:
                 ]
             elif isinstance(elem, Assign):
                 new_envs = []
-                for env in envs:
+                for env, matched_rows in envs:
                     value = eval_expr(elem.expr, env, functions)
                     if elem.var.name in env:
                         if env[elem.var.name] == value:
-                            new_envs.append(env)
+                            new_envs.append((env, matched_rows))
                     else:
                         extended = dict(env)
                         extended[elem.var.name] = value
-                        new_envs.append(extended)
+                        new_envs.append((extended, matched_rows))
                 envs = new_envs
             elif isinstance(elem, Cond):
-                envs = [env for env in envs if eval_expr(elem.expr, env, functions)]
+                envs = [
+                    (env, matched_rows) for env, matched_rows in envs
+                    if eval_expr(elem.expr, env, functions)
+                ]
             else:  # pragma: no cover - parser prevents this
                 raise EvaluationError(f"unknown body element {elem!r}")
-        return envs
+        return [
+            (env, tuple((a.name, matched_rows[s]) for a, s in zip(rule.positives, slots)))
+            for env, matched_rows in envs
+        ]
 
-    def _candidates(self, atom: Atom, envs: list[Env]):
+    def _candidates(self, atom: Atom, envs: list[tuple[Env, tuple]]):
         """``env -> rows`` of ``atom``'s relation that may match it: on a
         stored relation, an index probe on the first constant or bound
         column (every env at one body position binds the same
         variables), else every row."""
         table = self.catalog.tables.get(atom.name)
         if table is not None:
-            bound = envs[0].keys()
+            bound = envs[0][0].keys()
             for column, arg in enumerate(atom.args):
                 if isinstance(arg, Const):
                     return lambda env: table.rows_matching(column, arg.value)

@@ -26,8 +26,8 @@ the rule text and the table declarations, so this module resolves it
   added or swapped.
 * ``compile_expr`` (from the source emitter) turns an expression AST
   into a function ``env -> value``, for what reads environments after
-  the body ran: aggregate projection and the provenance witness recipe.
-  The interpreter walks expressions itself (``eval.eval_expr``).
+  the body ran: aggregate projection only.  The interpreter walks
+  expressions itself (``eval.eval_expr``).
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from .codegen import (
 )
 from .errors import EvaluationError
 from .functions import DEFAULT_FUNCTIONS, FunctionLibrary
-
-Env = dict[str, Any]
 
 
 # The view an atom reads its rows from, relative to the plan's driving
@@ -268,19 +266,19 @@ class JoinPlan:
     """One rule body for one drive (``None`` is the full-evaluation plan,
     see :data:`Drive`).
 
-    Its functions — ``plain`` (head tuples), ``tracked`` (head tuples
-    with their binding environment), ``envs`` (environments) and ``agg``
-    (an aggregate's contributions), whichever the rule needs — all take
+    Its functions — ``plain`` (head tuples) or ``agg`` (an aggregate's
+    contributions), and ``tracked`` (each with its witness) — all take
     ``(ev, delta_rows, exclude)``.  They are generated on the plan's
     first execution (most rule x drive pairs of a program never run):
     call :meth:`generate` first, which is free once done.  Where the
     emitter declines the rule shape, ``unsupported`` says why and the
-    functions evaluate the body through the interpreter.
+    functions evaluate the body through the interpreter (an aggregate's
+    bindings then go through :meth:`AggregatePlan.project`).
     """
 
     __slots__ = (
         "rule", "drive", "tag", "fold", "_prof", "_codegen",
-        "plain", "tracked", "envs", "agg", "source", "steps", "unsupported",
+        "plain", "tracked", "agg", "source", "steps", "unsupported",
     )
 
     def __init__(
@@ -300,7 +298,7 @@ class JoinPlan:
         self._prof = None
         # (catalog, functions, kinds) until generate() has run.
         self._codegen: Optional[tuple] = codegen
-        self.plain = self.tracked = self.envs = self.agg = None
+        self.plain = self.tracked = self.agg = None
         self.source: Optional[str] = None
         self.steps: tuple[str, ...] = ()
         self.unsupported: Optional[str] = None
@@ -319,20 +317,16 @@ class JoinPlan:
         if fns is None:
             self.unsupported = unit.reason
             rule, drive = self.rule, self.drive
-            fns = {
+            fns = {} if rule.is_aggregate else {
                 "plain": lambda ev, rows, exclude: ev._eval_rule(
                     rule, drive, rows, exclude
                 ),
                 "tracked": lambda ev, rows, exclude: ev._eval_rule(
                     rule, drive, rows, exclude, True
                 ),
-                "envs": lambda ev, rows, exclude: ev._body_envs(
-                    rule, drive, rows, exclude
-                ),
             }
         self.plain = fns.get("plain")
         self.tracked = fns.get("tracked")
-        self.envs = fns.get("envs")
         self.agg = fns.get("agg")
         return self
 
@@ -351,7 +345,7 @@ class JoinPlan:
 
 
 # An aggregate over thousands of bindings would otherwise keep (and the
-# ledger record) a witness per contributing tuple; cap them per group.
+# ledger record) a witness per contributing binding; cap them per group.
 MAX_AGG_WITNESSES = 64
 
 # How one aggregate column of one group absorbs a contribution entering
@@ -442,14 +436,15 @@ class AggregatePlan:
 
     A body's *contributions* are one tuple of aggregated values per
     distinct binding (bag aggregation, SQL semantics; the body plans
-    deliver distinct bindings) — ``(values, environment)``, the witness,
-    under the provenance ledger — batched per group key in a dict.  A
-    group is ``[members, head row, witnesses, fold...]`` with one fold
-    slot per aggregate column (see ``_FOLD_KINDS``; ``None`` until a
-    value arrives).  ``groups`` is the state the evaluator keeps between
-    steps (``None`` until first built, and for rules that keep none);
-    every one-shot fold — naive evaluation, event bodies, rebuilds —
-    goes through the same :meth:`absorb` and :meth:`emit` on a fresh dict.
+    deliver distinct bindings) — ``(values, witness)`` under the
+    provenance ledger, the witness being the binding's body rows —
+    batched per group key in a dict.  A group is ``[members, head row,
+    (witnesses, body), fold...]`` with one fold slot per aggregate
+    column (see ``_FOLD_KINDS``; ``None`` until a value arrives).
+    ``groups`` is the state the evaluator keeps between steps (``None``
+    until first built, and for rules that keep none); every one-shot
+    fold — naive evaluation, event bodies, rebuilds — goes through the
+    same :meth:`absorb` and :meth:`emit` on a fresh dict.
     """
 
     __slots__ = (
@@ -483,7 +478,7 @@ class AggregatePlan:
             for n, (i, func, _fn) in enumerate(self.agg_specs)
             if func != "count"
         )
-        self._blank = [0, None, ()] + [None] * len(self.agg_specs)
+        self._blank = [0, None, ((), ())] + [None] * len(self.agg_specs)
         self.strategy = fold_strategy(rule, catalog)
         # An event or located head is gone (or shipped) once the step
         # ends: every live group is announced on every activation.
@@ -493,15 +488,16 @@ class AggregatePlan:
         self.gate = agg_gate(rule, catalog)
         self.groups: Optional[dict[Row, list]] = None
 
-    def project(self, envs: list[Env], tracked: bool = False) -> dict[Row, list]:
-        """The contributions of a body's environments."""
+    def project(self, envs: list[tuple], tracked: bool = False) -> dict[Row, list]:
+        """The contributions of the interpreter's ``(environment,
+        witness)`` pairs."""
         keys = tuple(fn for _, fn in self.group_fns)
         vals = tuple(fn for _, _, fn in self.agg_specs)
         out: dict[Row, list] = {}
-        for env in envs:
+        for env, body in envs:
             values = tuple(None if fn is None else fn(env) for fn in vals)
             out.setdefault(tuple(fn(env) for fn in keys), []).append(
-                (values, env) if tracked else values
+                (values, body) if tracked else values
             )
         return out
 
@@ -523,14 +519,17 @@ class AggregatePlan:
                 g = groups[key] = self._blank[:]
             g[0] += sign * len(batch)
             if tracked:
-                seen = list(g[2])
-                for _, env in batch:
+                seen = list(g[2][0])
+                for _, body in batch:
                     if sign < 0:
-                        if env in seen:
-                            seen.remove(env)
+                        if body in seen:
+                            seen.remove(body)
                     elif len(seen) < MAX_AGG_WITNESSES:
-                        seen.append(env)
-                g[2] = tuple(seen)
+                        seen.append(body)
+                if len(seen) != len(g[2][0]):  # one sign per batch
+                    # The recorded body: the witnesses' rows, sorted as
+                    # list<> sorts, whatever order they arrived in.
+                    g[2] = (tuple(seen), refold("list", list({i for w in seen for i in w})))
                 batch = [values for values, _ in batch]
             for n, _i, func, kind in self._folds:
                 values = [c[n] for c in batch]
@@ -595,10 +594,10 @@ class AggregatePlan:
     def emit(
         self, groups: dict[Row, list], touched: Iterable[Row], tracked: bool
     ) -> list[tuple]:
-        """Head rows ``(relation, row)`` — ``(relation, row, witnesses)``
-        when ``tracked`` — for the ``touched`` groups whose fold moved, in
-        that order.  A group that lost its last member is forgotten and
-        says nothing: its last head row stays (no view healing).  An
+        """Head rows ``(relation, row)`` — ``(relation, row, body)`` when
+        ``tracked`` — for the ``touched`` groups whose fold moved, in that
+        order.  A group that lost its last member is forgotten and says
+        nothing: its last head row stays (no view healing).  An
         announcing head lists every live group instead."""
         moved = []
         for key in touched:
@@ -616,7 +615,7 @@ class AggregatePlan:
             moved = groups.values()
         name = self.head_name
         if tracked:
-            return [(name, g[1], g[2]) for g in moved]
+            return [(name, g[1], g[2][1]) for g in moved]
         return [(name, g[1]) for g in moved]
 
     def regroup(self, fresh: dict[Row, list], touched: Iterable[Row]) -> None:
@@ -706,7 +705,7 @@ class RulePlans:
                 drives += [("retract", i) for i in positions]
             if how == "regroup":
                 drives.append(("regroup", None))
-            codegen = (catalog, functions, ("envs", "agg"))
+            codegen = (catalog, functions, ("tracked", "agg"))
             fold = describe_fold(rule, catalog)
         else:
             drives += [("delta", i) for i in positions]

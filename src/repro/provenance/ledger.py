@@ -21,10 +21,11 @@ instead of dangling.
 
 Recording is the evaluator's per-derivation hot path, so the ring
 stores each record as a plain list (one ``BUILD_LIST`` beats a dozen
-slot stores) and the witness environments are stored as-is, with body
-reconstruction deferred to first read through the evaluator-installed
-``resolver``.  Readers get :class:`Derivation` views, thin attribute
-wrappers over the raw record.
+slot stores).  A record's body is the ``((relation, row), ...)`` the
+join matched, as the evaluator hands it over: rows are interned tuples,
+so storing one is a tuple of references, and nothing is rebuilt or
+re-probed when the record is read.  Readers get :class:`Derivation`
+views, thin attribute wrappers over the raw record.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ _STEP = 9
 _NOW = 10
 _DEST = 11
 _RETRACTED = 12
-# While set, _BODY holds the raw witness (the final body environment(s)
-# the head was projected from) and this slot holds the deriving Rule;
-# the ledger's resolver turns the pair into body tuples on first read.
-_WRULE = 13
 
 
 class Derivation:
@@ -72,11 +69,10 @@ class Derivation:
     produced it; ``retracted`` is None while the tuple is live, else
     ``(reason, step)``."""
 
-    __slots__ = ("_raw", "_resolve")
+    __slots__ = ("_raw",)
 
-    def __init__(self, raw: list, resolve=None):
+    def __init__(self, raw: list):
         self._raw = raw
-        self._resolve = resolve
 
     @property
     def seq(self) -> int:
@@ -108,14 +104,7 @@ class Derivation:
 
     @property
     def body(self) -> tuple:
-        """The joined body tuples, reconstructing (and caching) them if
-        recording deferred the work to first read."""
-        raw = self._raw
-        wrule = raw[_WRULE]
-        if wrule is not None:
-            raw[_BODY] = self._resolve(wrule, raw[_BODY])
-            raw[_WRULE] = None
-        return raw[_BODY]
+        return self._raw[_BODY]
 
     @property
     def ctx(self) -> tuple:
@@ -179,18 +168,12 @@ class DerivationLedger:
             raise ValueError("ledger capacity must be >= 1")
         self.node = node
         self.capacity = capacity
-        # Witness resolver, set by Evaluator.attach_ledger: maps a
-        # (rule, witness-env(s)) pair to the reconstructed body tuples.
-        self.resolver = None
         self._ring: list[list] = []
         self._head = 0  # next eviction slot once the ring is full
         self._seq = 0
         self.dropped = 0
         self._by_tuple: dict[tuple[str, Row], list[list]] = {}
         self._sends: dict[tuple[str, Row], list[list]] = {}
-        # Records appended since the indexes were last brought up to
-        # date; drained by _sync() on the first lookup/retraction.
-        self._pending: list[list] = []
         # Per-step stamps, set by begin_step before the evaluator runs.
         self._step = 0
         self._now_ms = 0
@@ -218,52 +201,32 @@ class DerivationLedger:
         passno: int,
         rel: str,
         row: Row,
-        body: Any,
+        body: tuple,
         dest: Any = None,
-        witness_rule: Any = None,
     ) -> list:
-        """Record one derivation under the current step stamps.
-
-        When ``witness_rule`` is given, ``body`` is the raw witness (the
-        final body environment(s)) and reconstruction into body tuples is
-        deferred until the entry is first read.
-        """
+        """Record one derivation under the current step stamps; ``body``
+        is the ``((relation, row), ...)`` the rule body matched."""
         self._seq = seq = self._seq + 1
         rec = [
             seq, kind, rule, stratum, passno, rel, row, body,
-            self._ctx, self._step, self._now_ms, dest, None, witness_rule,
+            self._ctx, self._step, self._now_ms, dest, None,
         ]
         ring = self._ring
         if len(ring) < self.capacity:
             ring.append(rec)
         else:
-            self._sync()  # the evictee must be indexed to be unlinked
             old = ring[self._head]
             ring[self._head] = rec
             self._head = (self._head + 1) % self.capacity
             self.dropped += 1
             self._evict(old)
-        self._pending.append(rec)
+        index = self._sends if kind == SEND else self._by_tuple
+        bucket = index.get((rel, row))
+        if bucket is None:
+            index[rel, row] = [rec]
+        else:
+            bucket.append(rec)
         return rec
-
-    def _sync(self) -> None:
-        """Fold records appended since the last lookup into the
-        ``(relation, row)`` indexes (amortizes index upkeep off the
-        recording hot path)."""
-        pending = self._pending
-        if not pending:
-            return
-        by_tuple = self._by_tuple
-        sends = self._sends
-        for rec in pending:
-            index = sends if rec[_KIND] == SEND else by_tuple
-            key = (rec[_REL], rec[_ROW])
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [rec]
-            else:
-                bucket.append(rec)
-        pending.clear()
 
     def record_external(
         self, kind: str, rel: str, row: Row, ctx: tuple = ()
@@ -286,35 +249,9 @@ class DerivationLedger:
             if not bucket:
                 del index[key]
 
-    def find_row(
-        self, rel: str, cols: tuple, vals: tuple, arity: int
-    ) -> Optional[Row]:
-        """Newest recorded row of ``rel`` agreeing with the given exact
-        columns — the lazy witness resolver's last-resort probe for event
-        tuples that vanished with their timestep (or rows deleted since;
-        see docs/PROVENANCE.md).  Send records are skipped: an outbound
-        tuple is addressed to another node and never existed in local
-        tables (a self-send re-enters as an ``input`` entry anyway)."""
-        best: Optional[Row] = None
-        best_seq = -1
-        for rec in self._ring:
-            if rec[_REL] != rel or rec[_SEQ] <= best_seq or rec[_KIND] == SEND:
-                continue
-            row = rec[_ROW]
-            if len(row) != arity:
-                continue
-            for c, v in zip(cols, vals):
-                if row[c] != v:
-                    break
-            else:
-                best = row
-                best_seq = rec[_SEQ]
-        return best
-
     def retract(self, rel: str, row: Row, reason: str) -> int:
         """Tombstone every live entry for ``(rel, row)``; returns how
         many were tombstoned."""
-        self._sync()
         bucket = self._by_tuple.get((rel, tuple(row)))
         if not bucket:
             return 0
@@ -332,33 +269,20 @@ class DerivationLedger:
         self, rel: str, row: Iterable[Any], live_only: bool = False
     ) -> list[Derivation]:
         """All recorded derivations of ``(rel, row)``, oldest first."""
-        self._sync()
         bucket = self._by_tuple.get((rel, tuple(row)), [])
-        resolve = self.resolver
-        if live_only:
-            return [
-                Derivation(r, resolve)
-                for r in bucket
-                if r[_RETRACTED] is None
-            ]
-        return [Derivation(r, resolve) for r in bucket]
+        return [
+            Derivation(r)
+            for r in bucket
+            if not live_only or r[_RETRACTED] is None
+        ]
 
     def sends_of(self, rel: str, row: Iterable[Any]) -> list[Derivation]:
         """All send entries for ``(rel, row)``, oldest first."""
-        self._sync()
-        resolve = self.resolver
-        return [
-            Derivation(r, resolve)
-            for r in self._sends.get((rel, tuple(row)), [])
-        ]
+        return [Derivation(r) for r in self._sends.get((rel, tuple(row)), [])]
 
     def entries(self) -> list[Derivation]:
         """Every live-in-ring entry in sequence order (test/debug aid)."""
-        resolve = self.resolver
-        return [
-            Derivation(r, resolve)
-            for r in sorted(self._ring, key=lambda r: r[_SEQ])
-        ]
+        return [Derivation(r) for r in sorted(self._ring, key=lambda r: r[_SEQ])]
 
     def stats(self) -> dict:
         return {

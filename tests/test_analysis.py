@@ -194,3 +194,8 @@ class TestTables:
         assert "name" in lines[1]
         assert "-" in lines[2]
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("row", [["alpha"], ["alpha", 1, 2]])
+    def test_render_table_names_a_row_of_the_wrong_length(self, row):
+        with pytest.raises(ValueError, match=r"row \['alpha'.*headers"):
+            render_table(["name", "value"], [["b", 2], row])

@@ -15,7 +15,10 @@ then runs it under four evaluator configurations:
 * **observed** — the source engine with the provenance ledger and an
   aggressive 1-in-2 plan profiler attached (pure observers).
 
-Observed must equal source in everything.  Source must be
+Observed must equal source in everything, and every derivation its
+ledger recorded must replay: the recorded body rows, matched against the
+rule's atoms by the interpreter's ``match_atom``, project the recorded
+head row through ``eval_expr``.  Source must be
 *indistinguishable* from the interpreter — identical table fixpoints,
 sends, per-rule fire counts, derivation totals and semi-naive pass
 counts — and both must agree with naive evaluation on fixpoints and send
@@ -45,6 +48,7 @@ import random
 import pytest
 
 from repro.overlog import OverlogRuntime
+from repro.overlog.eval import eval_expr, match_atom
 from repro.overlog.ast import (
     AggSpec,
     Assign,
@@ -477,6 +481,8 @@ def run_variant(program, batches, **kwargs):
             assert steps < 500, "generated program did not quiesce"
             result = rt.tick()
             sends.extend(result.sends)
+    if rt.ledger is not None:
+        assert_witnesses_replay(rt)
     return {
         "tables": {
             name: sorted(rt.rows(name)) for name in rt.catalog.tables
@@ -486,6 +492,44 @@ def run_variant(program, batches, **kwargs):
         "derivations": rt.total_derivations,
         "stratum_iterations": dict(rt.evaluator.stratum_iteration_totals),
     }
+
+
+def assert_witnesses_replay(rt):
+    """Check every ``rule`` / ``send`` / ``next`` record against the
+    interpreter, the reference the generated code is checked against:
+    its body rows, one per positive atom in rule order, must match their
+    atoms (assignments and conditions evaluated where they stand) and
+    the binding must project the recorded head row.  Each witness row
+    of an aggregate must match an atom of its relation."""
+    rules = {rule.name: rule for rule in rt.evaluator.rules}
+    fns = rt.functions
+    for entry in rt.ledger.entries():
+        if entry.kind not in ("rule", "send", "next"):
+            continue
+        rule = rules[entry.rule]
+        if rule.is_aggregate:
+            for rel, row in entry.body:
+                assert any(
+                    match_atom(atom, row, {}, fns) is not None
+                    for atom in rule.positives if atom.name == rel
+                ), (str(rule), entry)
+            continue
+        assert [rel for rel, _ in entry.body] == [
+            atom.name for atom in rule.positives
+        ], (str(rule), entry)
+        rows = iter(row for _, row in entry.body)
+        env = {}
+        for elem in rule.body:
+            if isinstance(elem, Atom):
+                env = match_atom(elem, next(rows), env, fns)
+                assert env is not None, (str(rule), entry, str(elem))
+            elif isinstance(elem, Assign):
+                value = eval_expr(elem.expr, env, fns)
+                assert env.setdefault(elem.var.name, value) == value
+            elif isinstance(elem, Cond):
+                assert eval_expr(elem.expr, env, fns), (str(rule), entry)
+        head = tuple(eval_expr(arg, env, fns) for arg in rule.head.args)
+        assert head == entry.row, (str(rule), entry)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -78,12 +78,6 @@ class TestLedger:
         (send,) = led.sends_of("msg", (1,))
         assert send.dest == "other"
 
-    def test_find_row_skips_sends(self):
-        led = DerivationLedger(node="x")
-        led.record("send", "r", 0, 0, "e", ("remote", 1), (), dest="o")
-        led.record("input", None, -1, 0, "e", ("local", 1), ())
-        assert led.find_row("e", (1,), (1,), 2) == ("local", 1)
-
     def test_external_record_carries_ctx(self):
         led = DerivationLedger(node="x", capacity=1)
         led.record_external("input", "e", (1,), ctx=("ref",))
@@ -167,9 +161,8 @@ class TestWhy:
         assert "@next" in rt.why("acc", (7,))
 
     def test_event_witness_resolved_after_step(self):
-        # The body witness of a @next rule names an event tuple; by the
-        # time why() resolves it lazily the event is gone from the pool,
-        # so resolution must fall back to the ledger's own records.
+        # The body of a @next rule names an event tuple, gone from the
+        # pool once the step ends: the record keeps the row itself.
         rt = make(
             """
             program d;
@@ -181,9 +174,60 @@ class TestWhy:
         rt.insert("e", (5, 7))
         rt.run_to_quiescence()
         (entry,) = rt.ledger.derivations_of("acc", (7,))
-        # Column 0 is a wildcard: the probe must recover the real value
-        # from the ledger, not leave a None placeholder.
+        # Column 0 is a wildcard: no binding names its value, the row does.
         assert entry.body == (("e", (5, 7)),)
+
+    def test_witness_is_the_row_that_matched_not_a_later_one(self):
+        # acc(7) is derived from e(5, 7) through the wildcard column; then
+        # e(5, 7) is deleted and e(9, 7), which agrees on every bound
+        # column, inserted.  The record must still name e(5, 7).
+        rt = make(
+            """
+            program d;
+            define(e, keys(0, 1), {Int, Int});
+            define(acc, keys(0), {Int});
+            event(kill, 1);
+            n1 acc(X) :- e(_, X);
+            k1 delete e(A, X) :- kill(A), e(A, X);
+            """
+        )
+        rt.insert("e", (5, 7))
+        rt.run_to_quiescence()
+        rt.insert("kill", (5,))
+        rt.run_to_quiescence()
+        rt.insert("e", (9, 7))
+        rt.run_to_quiescence()
+        assert rt.rows("e") == [(9, 7)]
+        (entry,) = rt.ledger.derivations_of("acc", (7,))
+        assert entry.step == 1
+        assert entry.body == (("e", (5, 7)),)
+        text = rt.why("acc", (7,))
+        assert "e(5, 7) [RETRACTED]" in text and "e(9, 7)" not in text
+
+    def test_interpreted_plans_record_the_rows_that_matched(self):
+        # Two order-sensitive call sites: the emitter declines both rules
+        # and the interpreter runs them; its witnesses are rows too, in
+        # rule order, whatever order the body ran in.
+        rt = make(
+            """
+            program d;
+            define(e, keys(0, 1), {Int, Int});
+            define(lbl, keys(0), {Int, Str});
+            define(tag, keys(0, 1, 2), {Int, Str, Str});
+            define(cnt, keys(0), {Int, Int});
+            t1 tag(X, A, B) :- e(_, X), lbl(X, _), A := f_uid(), B := f_uid();
+            t2 cnt(X, count<A>) :- e(A, X), A != f_uid(), X != f_uid();
+            """
+        )
+        rt.insert_many("e", [(5, 7), (6, 7)])
+        rt.insert("lbl", (7, "seven"))
+        rt.run_to_quiescence()
+        assert "interpreted" in rt.explain("t1") and "interpreted" in rt.explain("t2")
+        (row,) = rt.rows("tag")
+        (entry,) = rt.ledger.derivations_of("tag", row)
+        assert entry.body == (("e", (5, 7)), ("lbl", (7, "seven")))
+        (entry,) = rt.ledger.derivations_of("cnt", (7, 2))
+        assert entry.body == (("e", (5, 7)), ("e", (6, 7)))
 
     def test_negation_rule_provenance(self):
         rt = make(
@@ -216,11 +260,17 @@ class TestWhy:
         rt.insert_many("obs", [("k", 1), ("k", 2), ("k", 4)])
         rt.run_to_quiescence()
         (entry,) = rt.ledger.derivations_of("total", ("k", 7))
-        assert sorted(entry.body) == [
+        assert entry.body == (
             ("obs", ("k", 1)),
             ("obs", ("k", 2)),
             ("obs", ("k", 4)),
-        ]
+        )
+        # Rows arriving together come out of a set, in hash order; the
+        # recorded body is sorted whatever order they were folded in.
+        rt.insert_many("obs", [("k", v) for v in (16, 8, 64, 32)])
+        rt.run_to_quiescence()
+        (entry,) = rt.ledger.derivations_of("total", ("k", 127))
+        assert entry.body == tuple(("obs", ("k", v)) for v in (1, 2, 4, 8, 16, 32, 64))
 
     def test_aggregate_witness_cap(self):
         rt = make(
