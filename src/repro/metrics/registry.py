@@ -96,7 +96,7 @@ class Histogram:
         return self.digest.percentile(p)
 
     def payload(self) -> tuple:
-        """The digest as a literal-safe tuple (telemetry wire form)."""
+        """The digest as a nested tuple (telemetry wire form)."""
         return self.digest.to_payload()
 
     def snapshot(self) -> dict:
@@ -146,7 +146,7 @@ class Percentile:
         return self.digest.percentile(p)
 
     def payload(self) -> tuple:
-        """Literal-safe wire form (merged cluster-wide by the monitor)."""
+        """Nested-tuple wire form (merged cluster-wide by the monitor)."""
         return self.digest.to_payload()
 
     def snapshot(self) -> dict:
@@ -180,7 +180,7 @@ class Distinct:
         return self.hll.estimate()
 
     def payload(self) -> tuple:
-        """Literal-safe wire form (merged cluster-wide by the monitor)."""
+        """Nested-tuple wire form (merged cluster-wide by the monitor)."""
         return self.hll.to_payload()
 
     def snapshot(self) -> dict:

@@ -11,8 +11,9 @@ state folds into cluster rollups in any grouping:
 * :class:`HyperLogLog` — distinct counts at ~1.6% standard error in
   4KB, register-wise-max merge.
 
-Both serialize to literal-safe nested tuples (``to_payload``), so they
-ride :class:`~repro.transport.envelope.Envelope` batches, store in
+Both serialize to nested tuples of the wire codec's value domain
+(``to_payload``; see :mod:`repro.transport.codec`), so they ride
+:class:`~repro.transport.envelope.Envelope` batches, store in
 Overlog columns and hash like any row value.  The Overlog aggregate
 functions ``percentile<>`` and ``count_distinct_approx<>`` are the
 :func:`fold_percentile`/:func:`fold_count_distinct` folds below,

@@ -4,8 +4,8 @@ Counterpart to :class:`~repro.sketches.tdigest.TDigest` for the
 ``count_distinct_approx<>`` aggregate and the registry's ``Distinct``
 primitive.  Same design constraints: register-wise-max merge (exactly
 order-invariant), deterministic hashing (md5-based, stable across
-processes — ``hash()`` is salted per interpreter), and a literal-safe
-tuple payload for the envelope wire codec.
+processes — ``hash()`` is salted per interpreter), and a tuple payload
+inside the envelope wire codec's value domain.
 
 With ``precision`` p the sketch keeps ``m = 2**p`` registers and the
 standard error is ``1.04/sqrt(m)``; the default p=12 (4096 registers,
@@ -138,7 +138,7 @@ class HyperLogLog:
     # -- wire form ---------------------------------------------------------------
 
     def to_payload(self) -> tuple:
-        """Literal-safe tuple: sparse registers as sorted (idx, rank)
+        """Wire-safe tuple: sparse registers as sorted (idx, rank)
         pairs, dense as the full register tuple."""
         if self._dense is not None:
             return (HLL_TAG, self.precision, "dense", tuple(self._dense))

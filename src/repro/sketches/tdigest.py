@@ -8,9 +8,10 @@ tuples, so the sketch has three hard requirements beyond accuracy:
 * **deterministic** — the same multiset of observations (fed in a
   canonical order) produces the same centroids on every backend, so the
   sim/asyncio differential tests can compare payloads *exactly*;
-* **literal-safe** — the wire codec is ``repr``/``ast.literal_eval``
-  (see :mod:`repro.transport.envelope`), so the serialized form is a
-  nested tuple of floats, hashable and storable in Overlog tables.
+* **wire-safe** — the serialized form is a nested tuple of strs,
+  ints and floats, inside the TCP codec's value domain (see
+  :mod:`repro.transport.codec`), hashable and storable in Overlog
+  tables.
 
 This is the *merging* variant of the algorithm: observations buffer and
 are periodically merged into the sorted centroid list under the k1 scale
@@ -160,7 +161,7 @@ class TDigest:
     # -- wire form ---------------------------------------------------------------
 
     def to_payload(self) -> tuple:
-        """Literal-safe nested tuple: survives the envelope codec and is
+        """Nested tuple: survives the envelope wire codec and is
         hashable (storable as an Overlog column value)."""
         self._compress()
         return (

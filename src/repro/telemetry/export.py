@@ -8,9 +8,10 @@ The whole telemetry plane rides one relation::
 ``histogram``, ``percentile``, ``distinct``) and fixes how the monitor's
 Overlog rules fold ``Payload``: counters and gauges sum, sketch payloads
 merge (``percentile<>`` / ``count_distinct_approx<>``).  Every payload
-is a Python literal — the envelope codec is ``repr``/``ast.literal_eval``
-— so a telemetry tuple survives TCP endpoints and stores in Overlog
-tables unchanged.
+lies in the wire codec's value domain (:mod:`repro.transport.codec`:
+``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes`` and nested
+``tuple``, of exact type), so a telemetry tuple survives TCP endpoints
+and stores in Overlog tables unchanged.
 
 :func:`telemetry_rows` is the only serializer: the per-node export loop
 (:meth:`repro.sim.node.Process.publish_telemetry`), the cluster-level
@@ -34,16 +35,18 @@ NUMERIC_KINDS = ("counter", "gauge")
 SKETCH_KINDS = ("histogram", "percentile", "distinct")
 
 
-def _literal_gauge(value) -> tuple[str, object]:
+def _gauge_payload(value) -> tuple[str, object]:
     """Classify a gauge value for the wire: numbers roll up as
     ``gauge``; anything else ships as an un-aggregatable ``info``
-    string (never let a non-literal poison an envelope)."""
-    if isinstance(value, bool):
+    string.  Payloads are coerced to the exact ``int``/``float``/``str``
+    the codec carries (a bool sums as 0/1; an ``IntEnum`` or a numpy
+    float would otherwise be refused by the encoder)."""
+    if isinstance(value, int):
         return "gauge", int(value)
-    if isinstance(value, (int, float)):
-        return "gauge", value
+    if isinstance(value, float):
+        return "gauge", float(value)
     if isinstance(value, str):
-        return "info", value
+        return "info", str(value)
     return "info", repr(value)
 
 
@@ -66,7 +69,7 @@ def telemetry_rows(
     for name, value in sorted(snap["counters"].items()):
         rows.append((node, name, "counter", value, clock))
     for name, value in sorted(snap["gauges"].items()):
-        kind, payload = _literal_gauge(value)
+        kind, payload = _gauge_payload(value)
         rows.append((node, name, kind, payload, clock))
     for name, hist in sorted(registry.histograms.items()):
         if hist.count:

@@ -12,7 +12,10 @@ event loop instead of virtual time:
   ``backpressure_stalls`` counter increments; no delta is ever dropped;
 * endpoints are **queue- or TCP-backed**: with ``tcp=True`` each
   endpoint listens on a real 127.0.0.1 socket and links ship
-  length-prefixed encoded envelopes through StreamWriter/StreamReader;
+  length-prefixed encoded envelopes through StreamWriter/StreamReader
+  (:mod:`repro.transport.codec`); a reader refuses and counts any frame
+  that is oversized, malformed or addressed elsewhere, then closes that
+  connection, and a sender drops an envelope it cannot encode;
 * ``drain()`` gracefully quiesces the wire before shutdown.
 
 The clock is real time scaled by ``time_scale`` (virtual-ms = elapsed
@@ -33,6 +36,7 @@ from typing import Callable, Optional
 
 from .base import Address, DeliverFn, Transport
 from .base_cluster import BaseCluster
+from .codec import MAX_FRAME_BYTES, CodecError
 from .envelope import Envelope
 from .sim_transport import LatencyModel
 
@@ -250,7 +254,14 @@ class LocalAsyncTransport(Transport):
                     self._account_dropped(env, "dead")
                     continue
                 if self.tcp:
-                    await self._transmit_tcp(link, endpoint, env)
+                    try:
+                        payload = env.encode()
+                    except CodecError:
+                        link.buffer.popleft()
+                        self._wire_in += 1
+                        self._account_dropped(env, "unencodable")
+                        continue
+                    await self._transmit_tcp(link, endpoint, payload)
                 else:
                     await self._transmit_queue(endpoint, env)
                 link.buffer.popleft()
@@ -271,7 +282,7 @@ class LocalAsyncTransport(Transport):
             await endpoint.queue.put(env)
 
     async def _transmit_tcp(
-        self, link: _Link, endpoint: _Endpoint, env: Envelope
+        self, link: _Link, endpoint: _Endpoint, payload: bytes
     ) -> None:
         while endpoint.port is None:
             await asyncio.sleep(0.001)  # listener still coming up
@@ -279,7 +290,6 @@ class LocalAsyncTransport(Transport):
             _reader, link.writer = await asyncio.open_connection(
                 "127.0.0.1", endpoint.port
             )
-        payload = env.encode()
         link.writer.write(_FRAME_HEADER.pack(len(payload)) + payload)
         # drain() applies TCP flow control: a receiver that stops
         # reading (full bounded queue) eventually blocks us here.
@@ -295,7 +305,20 @@ class LocalAsyncTransport(Transport):
             while True:
                 header = await reader.readexactly(_FRAME_HEADER.size)
                 (length,) = _FRAME_HEADER.unpack(header)
-                env = Envelope.decode(await reader.readexactly(length))
+                # A refused frame leaves the stream out of step (or it
+                # is hostile): count it and hang up on this connection.
+                if length > MAX_FRAME_BYTES:
+                    self._account_rejected("oversize")
+                    return
+                body = await reader.readexactly(length)
+                try:
+                    env = Envelope.decode(body)
+                except CodecError as err:
+                    self._account_rejected(err.reason)
+                    return
+                if env.dst != endpoint.address:
+                    self._account_rejected("misaddressed")
+                    return
                 if endpoint.queue.full():
                     self._account_stall(env.src, env.dst)
                     self._note_stall(env, "begin")

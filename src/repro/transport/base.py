@@ -62,7 +62,9 @@ class TransportStats:
     counted, so historical benchmark numbers stay comparable.  The
     ``envelopes_*`` twins count wire messages; their ratio is the
     batching factor.  Drop counters count envelopes; ``deltas_dropped``
-    totals the tuples inside them.
+    totals the tuples inside them.  ``frames_rejected`` counts TCP frames
+    a reader refused (the ``transport.rejected.<reason>`` counters split
+    it by reason); a refused frame never became an envelope.
     """
 
     sent: int = 0  # deltas handed to the transport
@@ -75,7 +77,9 @@ class TransportStats:
     dropped_loss: int = 0
     dropped_partition: int = 0
     dropped_dead: int = 0
+    dropped_unencodable: int = 0  # outside the TCP codec's value domain
     deltas_dropped: int = 0
+    frames_rejected: int = 0
     backpressure_stalls: int = 0
 
 
@@ -237,6 +241,8 @@ class Transport(ABC):
             stats.dropped_loss += 1
         elif reason == "partition":
             stats.dropped_partition += 1
+        elif reason == "unencodable":
+            stats.dropped_unencodable += 1
         else:
             stats.dropped_dead += 1
         stats.deltas_dropped += len(env.deltas)
@@ -248,6 +254,11 @@ class Transport(ABC):
                 tracer.on_drop(mid, reason)
         if self.recorder is not None:
             self.recorder.record_envelope(env.src, "env_drop", env, reason=reason)
+
+    def _account_rejected(self, reason: str) -> None:
+        self.stats.frames_rejected += 1
+        if self.metrics is not None:
+            self.metrics.counter(f"transport.rejected.{reason}").inc()
 
     def _account_stall(self, src: Address, dst: Address) -> None:
         self.stats.backpressure_stalls += 1

@@ -8,17 +8,19 @@ shipping batches every tuple a fixpoint produces for the same
 destination into a single envelope — the :class:`Outbox` implements that
 flush-on-fixpoint policy for nodes.
 
-Envelopes also know how to encode themselves to bytes (a deterministic
-Python-literal codec) so the asyncio backend can run over real TCP
-sockets, not just in-process queues.
+Envelopes also know how to encode themselves to bytes so the asyncio
+backend can run over real TCP sockets, not just in-process queues: the
+versioned, type-tagged frame of :mod:`repro.transport.codec`, whose value
+domain is ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes`` and
+nested ``tuple``.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from . import codec
 from .base import Address, Delta
 
 _HEADER_BYTES = 16  # per-envelope framing overhead charged by the model
@@ -99,16 +101,20 @@ class Envelope:
     # -- wire codec (asyncio TCP endpoints) -----------------------------------
 
     def encode(self) -> bytes:
-        """Deterministic byte encoding: a Python literal, safe to eval
-        with :func:`ast.literal_eval` (rows hold only literals: ints,
-        floats, strings, bytes, bools, None, nested tuples)."""
-        payload = (self.src, self.dst, self.deltas, self.mids, self.seq)
-        return repr(payload).encode("utf-8")
+        """The frame body for a TCP link (:mod:`repro.transport.codec`).
+        Every row value must lie in the codec's domain — ``None``,
+        ``bool``, ``int``, ``float``, ``str``, ``bytes``, nested
+        ``tuple`` — or this raises :class:`~repro.transport.codec.CodecError`."""
+        return codec.encode(
+            self.src, self.dst, self.seq, self.size_bytes, self.deltas, self.mids
+        )
 
     @staticmethod
     def decode(data: bytes) -> "Envelope":
-        src, dst, deltas, mids, seq = ast.literal_eval(data.decode("utf-8"))
-        return Envelope.make(src, dst, deltas, mids, seq)
+        """The envelope a frame body carries, with the sender's
+        ``size_bytes``; raises :class:`~repro.transport.codec.CodecError`
+        on any frame outside the wire format."""
+        return Envelope(*codec.decode(data))
 
 
 class Outbox:

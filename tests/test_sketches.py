@@ -7,7 +7,6 @@ invariance (exact for HLL register-max; canonical-fold-determinism for
 the t-digest aggregate).
 """
 
-import ast
 import random
 from bisect import bisect_left
 
@@ -23,6 +22,7 @@ from repro.sketches import (
     is_hll_payload,
     is_tdigest_payload,
 )
+from repro.transport import Envelope
 
 # -- t-digest ------------------------------------------------------------------
 
@@ -80,14 +80,23 @@ def test_tdigest_merge_matches_direct_build():
         assert _rank_error(values, merged, q) <= 0.01
 
 
-def test_tdigest_payload_round_trip_is_literal_safe():
+def _through_the_wire(value):
+    """``value`` after a round trip through the TCP envelope codec."""
+    env = Envelope.make("a", "b", [("telemetry", (value,))])
+    ((_, (back,)),) = Envelope.decode(env.encode()).deltas
+    return back
+
+
+def test_tdigest_payload_round_trip_survives_the_wire_codec():
     digest = TDigest()
     digest.extend(range(1000))
     payload = digest.to_payload()
     assert is_tdigest_payload(payload)
-    # The envelope wire codec is repr/ast.literal_eval: the payload must
-    # survive it bit-for-bit and stay hashable (an Overlog column value).
-    assert ast.literal_eval(repr(payload)) == payload
+    # The payload must survive the envelope wire codec bit-for-bit, with
+    # every type intact (repr tells 1 from 1.0 from True), and stay
+    # hashable (an Overlog column value).
+    back = _through_the_wire(payload)
+    assert back == payload and repr(back) == repr(payload)
     hash(payload)
     back = TDigest.from_payload(payload)
     assert back.count == digest.count
@@ -194,7 +203,8 @@ def test_hll_payload_round_trip_sparse_and_dense():
         sparse.add(i)
     payload = sparse.to_payload()
     assert is_hll_payload(payload) and payload[2] == "sparse"
-    assert ast.literal_eval(repr(payload)) == payload
+    back = _through_the_wire(payload)
+    assert back == payload and repr(back) == repr(payload)
     assert HyperLogLog.from_payload(payload).estimate() == sparse.estimate()
 
     dense = HyperLogLog()

@@ -9,7 +9,7 @@ re-arming across crash/restart), and the deterministic dashboard/JSONL
 exports.
 """
 
-import ast
+import enum
 import json
 
 import pytest
@@ -34,6 +34,7 @@ from repro.telemetry import (
     trace_latency_digest,
     trace_latency_rows,
 )
+from repro.transport import Envelope
 from repro.workload import LoadDriver, run_driver
 
 # -- the wire serializer -------------------------------------------------------
@@ -63,6 +64,20 @@ class TestTelemetryRows:
         # bools ride as 0/1 gauges so they can sum cluster-wide
         assert ("flag", "gauge", 1) in rows
 
+    def test_gauge_payloads_have_the_exact_types_the_codec_carries(self):
+        class Mode(enum.IntEnum):
+            FAST = 2
+
+        class Role(str):
+            pass
+
+        reg = MetricsRegistry("n1")
+        reg.gauge("mode").set(Mode.FAST)
+        reg.gauge("role").set(Role("leader"))
+        payloads = {r[1]: r[3] for r in telemetry_rows(reg)}
+        assert type(payloads["mode"]) is int and payloads["mode"] == 2
+        assert type(payloads["role"]) is str and payloads["role"] == "leader"
+
     def test_histogram_ships_tdigest_payload(self):
         reg = MetricsRegistry("n1")
         hist = reg.histogram("lat")
@@ -85,16 +100,19 @@ class TestTelemetryRows:
         assert is_hll_payload(rows[0][3])
 
     def test_rows_survive_the_envelope_codec(self):
-        # The transport wire format is repr/ast.literal_eval: every
-        # telemetry row must round-trip as a Python literal.
+        # Every telemetry row must round-trip through the TCP wire
+        # codec with equal values of identical types.
         reg = MetricsRegistry("n1")
         reg.counter("c").inc()
         reg.gauge("g").set(1.5)
         reg.histogram("h").observe(3)
         reg.percentile("p").observe(4)
         reg.distinct("d").add("x")
-        for row in telemetry_rows(reg, clock=1):
-            assert ast.literal_eval(repr(row)) == row
+        rows = telemetry_rows(reg, clock=1)
+        env = Envelope.make("n1", "monitor", [("telemetry", row) for row in rows])
+        back = [row for _, row in Envelope.decode(env.encode()).deltas]
+        assert back == rows and repr(back) == repr(rows)
+        for row in rows:
             hash(row)
 
     def test_collector_gauges_refresh_on_export(self):

@@ -9,7 +9,8 @@ Two workloads exercise that claim:
 
 * a metadata workload — a confluent (CALM) sequence of BOOM-FS
   metadata operations, compared *exactly*: final master tables and the
-  full multiset of ``(src, dst, relation, row)`` deltas;
+  full multiset of ``(src, dst, relation, row)`` deltas, over queue
+  endpoints for every seed and over TCP (the wire codec) for a fifth;
 * seeded Paxos — leader election plus replicated submissions, compared
   on decided/applied state and the deduplicated set of protocol-relation
   deltas (timer-driven heartbeats/retransmits legitimately differ
@@ -107,19 +108,29 @@ def _run_metadata(cluster, seed):
     return tables, sends, results
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_metadata_workload_backends_agree(seed):
+def _assert_metadata_agrees(seed, tcp):
     sim_tables, sim_sends, sim_results = _run_metadata(
         Cluster(seed=seed, latency=LatencyModel(1, 2)), seed
     )
     async_tables, async_sends, async_results = _run_metadata(
-        AsyncCluster(seed=seed, time_scale=10.0), seed
+        AsyncCluster(seed=seed, time_scale=10.0, tcp=tcp), seed
     )
     assert sim_tables == async_tables
     assert sim_results == async_results
     # Full send multisets: every (src, dst, relation, row) delta with its
     # multiplicity — delivery *order* is the only latitude backends get.
     assert sim_sends == async_sends
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_metadata_workload_backends_agree(seed):
+    _assert_metadata_agrees(seed, tcp=False)
+
+
+@pytest.mark.parametrize("seed", SEEDS[::4])
+def test_metadata_workload_backends_agree_over_tcp(seed):
+    # Every delta crosses a socket through the wire codec.
+    _assert_metadata_agrees(seed, tcp=True)
 
 
 # -- Paxos workload -----------------------------------------------------------
