@@ -3,7 +3,8 @@ client, failure handling, garbage collection and re-replication."""
 
 import pytest
 
-from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode, FSError
+from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode, FSError, master_program
+from repro.overlog import OverlogRuntime
 from repro.sim import Cluster, LatencyModel
 
 
@@ -80,6 +81,66 @@ class TestDirectoryOps:
         fs.create("/f")
         with pytest.raises(FSError, match="notdir"):
             fs.create("/f/child")
+
+
+def _ask(rt, op, path, arg=None):
+    """Send one request to a bare NameNode runtime; return its one reply
+    as (ok, payload)."""
+    rt.insert("request", (7, "client", op, path, arg))
+    replies = []
+    while True:
+        result = rt.tick(now=0)
+        replies += [row[2:] for _, rel, row in result.sends if rel == "response"]
+        if not rt.has_pending_work:
+            break
+    assert len(replies) == 1, replies
+    return replies[0]
+
+
+class TestErrorAnswers:
+    """Replies the client hides (it retries ``pending``) or never asks
+    for (``addchunk`` on a directory), read off one master's program."""
+
+    @pytest.fixture()
+    def master(self):
+        rt = OverlogRuntime(
+            master_program(), "master", extra_functions={"f_idscope": lambda: "m"}
+        )
+        rt.install("file", [(0, -1, "", True)])
+        rt.install("repfactor", [(1,)])
+        rt.install("dn_timeout", [(3000,)])
+        rt.insert("heartbeat", ("dn0",))
+        assert _ask(rt, "mkdir", "/d")[0]
+        assert _ask(rt, "create", "/f")[0]
+        ok, (cid, targets) = _ask(rt, "addchunk", "/f")
+        assert ok and list(targets) == ["dn0"]
+        return rt, cid
+
+    @pytest.mark.parametrize(
+        "op", ["exists", "ls", "stat", "rm", "addchunk", "getchunks"]
+    )
+    def test_missing_path_is_noent(self, master, op):
+        rt, _ = master
+        assert _ask(rt, op, "/ghost") == (False, "noent")
+
+    @pytest.mark.parametrize("op", ["addchunk", "getchunks"])
+    def test_directory_is_isdir(self, master, op):
+        rt, _ = master
+        assert _ask(rt, op, "/d") == (False, "isdir")
+
+    def test_stat_before_any_replica_reports_is_pending(self, master):
+        rt, cid = master
+        assert _ask(rt, "stat", "/f") == (False, "pending")
+        rt.insert("chunk_report", ("dn0", cid, 5))
+        ok, (isdir, size) = _ask(rt, "stat", "/f")
+        assert (ok, isdir, size) == (True, False, 5)
+
+    def test_chunklocs_of_an_unreported_chunk_is_nolocs(self, master):
+        rt, cid = master
+        assert _ask(rt, "chunklocs", "", cid) == (False, "nolocs")
+        rt.insert("chunk_report", ("dn0", cid, 5))
+        ok, locs = _ask(rt, "chunklocs", "", cid)
+        assert (ok, list(locs)) == (True, ["dn0"])
 
 
 class TestRemove:

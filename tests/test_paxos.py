@@ -77,6 +77,24 @@ class TestReplication:
         cluster.run_for(2000)
         assert replicas[0].decided_log() == {1: ("via-follower",)}
 
+    def test_ops_queued_before_any_leader_are_decided_once(self):
+        # p0 has the shortest election timeout, so it wins the first
+        # election.  Ops it receives before any leader is known wait in
+        # fwq; once it leads, fw5 moves them into its own proposal queue.
+        cluster, _, replicas = make_group()
+        first = replicas[0]
+        ops = [("queued", i) for i in range(3)]
+        for v in ops:
+            first.submit(v)
+        cluster.run_for(1)
+        assert first.role == "follower"
+        assert len(first.runtime.rows("fwq")) == 3
+        assert wait_for_leader(cluster, replicas) is first
+        cluster.run_for(3000)
+        assert first.runtime.rows("fwq") == []
+        for r in replicas:
+            assert sorted(r.decided_log().values()) == ops
+
     def test_agreement_under_message_loss(self):
         cluster, _, replicas = make_group(loss_rate=0.05, seed=5)
         leader = wait_for_leader(cluster, replicas)

@@ -173,11 +173,13 @@ class TestLocalityRules:
         assert launch[2] == 0  # remote assignment still happens
 
 
-def _running_map(rt, job, task, tracker, start, progress, report_at):
-    """Install the state of a map mid-flight (tracker registered too, or
+def _running_task(
+    rt, job, task, tracker, start, progress, report_at, kind="map"
+):
+    """Install the state of a task mid-flight (tracker registered too, or
     the tracker-death rules would mark the attempt lost)."""
     rt.insert("tracker", (tracker, report_at))
-    rt.insert("task", (job, task, "map"))
+    rt.insert("task", (job, task, kind))
     rt.insert("task_state", (job, task, "running"))
     rt.insert("attempt", (job, task, 0, tracker, "running", start))
     rt.insert("progress", (job, task, 0, progress, report_at))
@@ -188,8 +190,8 @@ class TestHadoopSpeculationRules:
         rt = make_rt("hadoop", min_runtime=1000, lag=0.2)
         rt.insert("job", (1, 2, 0, 0))
         rt.insert("job_state", (1, "running"))
-        _running_map(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
-        _running_map(rt, 1, 1, "fast", start=0, progress=0.9, report_at=5000)
+        _running_task(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
+        _running_task(rt, 1, 1, "fast", start=0, progress=0.9, report_at=5000)
         step(rt, now=5000)
         launches = heartbeat(rt, "idle", now=5000)
         assert launches == [("idle", 1, 0, 1, "map")]
@@ -198,8 +200,8 @@ class TestHadoopSpeculationRules:
         rt = make_rt("hadoop", min_runtime=60_000)
         rt.insert("job", (1, 2, 0, 0))
         rt.insert("job_state", (1, "running"))
-        _running_map(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
-        _running_map(rt, 1, 1, "fast", start=0, progress=0.9, report_at=5000)
+        _running_task(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
+        _running_task(rt, 1, 1, "fast", start=0, progress=0.9, report_at=5000)
         step(rt, now=5000)
         assert heartbeat(rt, "idle", now=5000) == []
 
@@ -207,8 +209,8 @@ class TestHadoopSpeculationRules:
         rt = make_rt("hadoop", min_runtime=1000)
         rt.insert("job", (1, 2, 0, 0))
         rt.insert("job_state", (1, "running"))
-        _running_map(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
-        _running_map(rt, 1, 1, "fast", start=0, progress=0.9, report_at=5000)
+        _running_task(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
+        _running_task(rt, 1, 1, "fast", start=0, progress=0.9, report_at=5000)
         step(rt, now=5000)
         assert heartbeat(rt, "slow", now=5000) == []
 
@@ -216,8 +218,8 @@ class TestHadoopSpeculationRules:
         rt = make_rt("hadoop", min_runtime=1000)
         rt.insert("job", (1, 3, 0, 0))
         rt.insert("job_state", (1, "running"))
-        _running_map(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
-        _running_map(rt, 1, 1, "fast", start=0, progress=0.9, report_at=5000)
+        _running_task(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
+        _running_task(rt, 1, 1, "fast", start=0, progress=0.9, report_at=5000)
         rt.insert("task", (1, 2, "map"))
         rt.insert("task_state", (1, 2, "pending"))
         step(rt, now=5000)
@@ -230,8 +232,8 @@ class TestLateRules:
         rt.insert("job", (1, 2, 0, 0))
         rt.insert("job_state", (1, "running"))
         # task 0: 10% after 5s (time_left ~ 45s); task 1: 50% (~5s left)
-        _running_map(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
-        _running_map(rt, 1, 1, "meh", start=0, progress=0.5, report_at=5000)
+        _running_task(rt, 1, 0, "slow", start=0, progress=0.1, report_at=5000)
+        _running_task(rt, 1, 1, "meh", start=0, progress=0.5, report_at=5000)
         step(rt, now=5000)
 
     def test_longest_time_left_chosen(self):
@@ -263,3 +265,28 @@ class TestLateRules:
         # the only candidate left.
         launches = heartbeat(rt, "idle2", now=5000)
         assert all(l[2] != 0 for l in launches)
+
+    def test_fast_rated_tracker_gets_one_map_backup(self):
+        rt = make_rt("late", min_runtime=1000, ratio=0.9)
+        self._two_tasks(rt)
+        # 'fast' runs map 2 at 90% after 5s: it has a rate sample, above
+        # the global average, so it is a fast node, not an unrated one.
+        _running_task(rt, 1, 2, "fast", start=0, progress=0.9, report_at=5000)
+        step(rt, now=5000)
+        assert heartbeat(rt, "fast", free_m=2, now=5000) == [
+            ("fast", 1, 0, 1, "map")
+        ]
+
+    def test_unrated_tracker_gets_a_reduce_backup(self):
+        rt = make_rt("late", min_runtime=1000)
+        rt.insert("job", (1, 0, 2, 0))
+        rt.insert("job_state", (1, "running"))
+        for r, (tracker, progress) in enumerate((("slow", 0.1), ("meh", 0.5))):
+            _running_task(
+                rt, 1, REDUCE_BASE + r, tracker, start=0, progress=progress,
+                report_at=5000, kind="reduce",
+            )
+        step(rt, now=5000)
+        assert heartbeat(rt, "idle", free_m=0, free_r=1, now=5000) == [
+            ("idle", 1, REDUCE_BASE, 1, "reduce")
+        ]
