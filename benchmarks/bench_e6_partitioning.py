@@ -11,8 +11,7 @@ from harness import write_json_report, write_report
 
 from repro.analysis import render_table
 from repro.boomfs.client import FSSession
-from repro.boomfs.partition import PARTITION_DROPPED_RULES, partition_of
-from repro.boomfs.master import BoomFSMaster
+from repro.boomfs.partition import partition_of, partitioned_master
 from repro.sim import Cluster, LatencyModel, Process
 
 TOTAL_OPS = 240
@@ -82,10 +81,9 @@ def run_one(partitions: int):
     for p in range(partitions):
         masters.append(
             cluster.add(
-                BoomFSMaster(
+                partitioned_master(
                     f"master{p}",
                     replication=1,
-                    drop_rules=PARTITION_DROPPED_RULES,
                     per_derivation_cost_us=PER_DERIVATION_US,
                 )
             )

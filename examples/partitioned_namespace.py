@@ -22,7 +22,7 @@ PARTITIONS = 4
 
 cluster = Cluster(latency=LatencyModel(1, 1))
 masters = [
-    cluster.add(partitioned_master(f"master{p}", PARTITIONS, replication=2))
+    cluster.add(partitioned_master(f"master{p}", replication=2))
     for p in range(PARTITIONS)
 ]
 addrs = [m.address for m in masters]

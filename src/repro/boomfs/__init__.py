@@ -25,7 +25,7 @@ Typical setup::
 from .chunks import DEFAULT_CHUNK_SIZE, assemble_chunks, split_chunks
 from .client import BoomFSClient, FSError, FSSession, FSTimeout
 from .datanode import DataNode
-from .master import BoomFSMaster, master_program, master_program_source
+from .master import BoomFSMaster, master_program
 from .shell import FSShell, ShellError
 
 __all__ = [
@@ -40,6 +40,5 @@ __all__ = [
     "ShellError",
     "assemble_chunks",
     "master_program",
-    "master_program_source",
     "split_chunks",
 ]

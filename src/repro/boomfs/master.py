@@ -3,41 +3,32 @@
 All metadata logic lives in ``programs/boomfs_master.olg``; this module
 only loads the program, installs bootstrap facts (the root directory and
 configuration), and exposes inspection helpers used by tests and
-benchmarks.
+benchmarks.  :class:`BoomFSMaster` is also the BOOM-FS half of the
+Paxos-replicated NameNode (:mod:`repro.paxos.replicated_master`).
 """
 
 from __future__ import annotations
 
-from importlib import resources
 from typing import Optional
 
 from ..overlog import Program, Rule, parse
-from ..sim.node import OverlogProcess
+from ..sim.node import OverlogProcess, program_source
 
-_MASTER_SOURCE: Optional[str] = None
-
-
-def master_program_source() -> str:
-    """The Overlog source text of the NameNode program."""
-    global _MASTER_SOURCE
-    if _MASTER_SOURCE is None:
-        _MASTER_SOURCE = (
-            resources.files("repro.boomfs")
-            .joinpath("programs/boomfs_master.olg")
-            .read_text()
-        )
-    return _MASTER_SOURCE
+# Rules a namespace shard must not run: DataNodes are shared across
+# shards, so one shard's metadata cannot prove that a chunk unknown to it
+# is garbage (the orphan-chunk collector ``gc1``).  Dropping them is what
+# makes a master a shard, so it is also what makes its state export claim
+# the file paths it owns (``fs_owner``, checked for shard disjointness).
+PARTITION_DROPPED_RULES = ("gc1",)
 
 
 def master_program(drop_rules: tuple[str, ...] = ()) -> Program:
     """Parse the NameNode program, optionally dropping named rules.
 
     Dropping rules is the Overlog way to reconfigure behaviour: e.g. the
-    partitioned deployment removes the ``gc1`` orphan-chunk collector
-    because DataNodes are shared across partitions and one partition's
-    metadata cannot prove another partition's chunk is garbage.
+    partitioned deployment removes :data:`PARTITION_DROPPED_RULES`.
     """
-    program = parse(master_program_source())
+    program = parse(program_source("boomfs/programs/boomfs_master.olg"))
     if drop_rules:
         kept: tuple[Rule, ...] = tuple(
             r for r in program.rules if r.name not in drop_rules
@@ -77,28 +68,36 @@ class BoomFSMaster(OverlogProcess):
         provenance: bool = False,
         profile: bool = False,
     ):
-        self.replication = replication
-        self.dn_timeout_ms = dn_timeout_ms
-        # f_idscope prefixes chunk ids: masters sharing DataNodes must not
-        # collide (partitions get distinct scopes), while Paxos replicas
-        # share one scope so replayed ops mint identical ids.
         scope = id_scope if id_scope is not None else address
-        self.id_scope = scope
-        # Multi-master deployments (partitioned namespaces) set this so
-        # state exports include fs_owner rows, feeding the monitor's
-        # shard-disjointness invariant.  A lone master owns everything
-        # by construction, so the default skips the per-path volume.
-        self.export_ownership = False
         super().__init__(
             address,
             master_program(drop_rules),
             seed=seed,
             step_cost_ms=step_cost_ms,
             per_derivation_cost_us=per_derivation_cost_us,
-            extra_functions={"f_idscope": lambda: scope},
+            extra_functions=self._fs_half(
+                replication, dn_timeout_ms, drop_rules, scope
+            ),
             provenance=provenance,
             profile=profile,
         )
+
+    def _fs_half(
+        self,
+        replication: int,
+        dn_timeout_ms: int,
+        drop_rules: tuple[str, ...],
+        id_scope: str,
+    ) -> dict:
+        """Configure this node's BOOM-FS half; returns its functions."""
+        self.replication = replication
+        self.dn_timeout_ms = dn_timeout_ms
+        # f_idscope prefixes chunk ids: masters sharing DataNodes must not
+        # collide (partitions get distinct scopes), while Paxos replicas
+        # share one scope so replayed ops mint identical ids.
+        self.id_scope = id_scope
+        self._shard = any(r in drop_rules for r in PARTITION_DROPPED_RULES)
+        return {"f_idscope": lambda: id_scope}
 
     def bootstrap(self) -> None:
         self.runtime.install("file", [(ROOT_FILE_ID, -1, "", True)])
@@ -149,15 +148,15 @@ class BoomFSMaster(OverlogProcess):
 
     def state_export_rows(self, clock: int) -> list[tuple]:
         """Cluster-invariant export: chunk references, location beliefs
-        and (for multi-master deployments) namespace ownership claims
-        (see repro.monitoring.global_invariants)."""
+        and, for a shard, the file paths it owns (see
+        repro.monitoring.global_invariants)."""
         from ..monitoring.global_invariants import boomfs_state_rows
 
         return boomfs_state_rows(
             self.runtime,
             str(self.address),
             clock,
-            ownership_scope=self.id_scope if self.export_ownership else None,
+            ownership_scope=self.id_scope if self._shard else None,
         )
 
     # -- inspection helpers (tests, benchmarks, invariants) ------------------

@@ -14,7 +14,9 @@ Partitioning scheme (mirrors the paper's approach):
 * ``ls`` scatter-gathers across partitions and unions the results;
 * the orphan-chunk collector (rule ``gc1``) is dropped from partitioned
   masters: DataNodes are shared, so one partition cannot conclude that a
-  chunk unknown to *it* is garbage.
+  chunk unknown to *it* is garbage.  A master without it is a shard, so
+  its state export claims the file paths it owns (``fs_owner``), which
+  the monitor's shard-disjointness invariant checks.
 
 Cross-partition ``mv`` of files is not supported (the paper's prototype
 had the same restriction: it would require a distributed transaction).
@@ -30,19 +32,13 @@ from ..transport import Address
 from ..sim.node import Process
 from .chunks import DEFAULT_CHUNK_SIZE
 from .client import IDEMPOTENT_ERRORS, FSError, FSSession, FSTimeout
-from .master import BoomFSMaster
-
-# Rules a partitioned master must not run (see module docstring).
-PARTITION_DROPPED_RULES = ("gc1",)
+from .master import PARTITION_DROPPED_RULES, BoomFSMaster
 
 
-def partitioned_master(
-    address: str, partition_count: int, replication: int = 3, **kw: Any
-) -> BoomFSMaster:
-    """Construct one partition's NameNode (gc disabled)."""
-    return BoomFSMaster(
-        address, replication=replication, drop_rules=PARTITION_DROPPED_RULES, **kw
-    )
+def partitioned_master(address: str, **kw: Any) -> BoomFSMaster:
+    """Construct one partition's NameNode: gc disabled, and its state
+    export claims the file paths it owns."""
+    return BoomFSMaster(address, drop_rules=PARTITION_DROPPED_RULES, **kw)
 
 
 def partition_of(path: str, partition_count: int) -> int:

@@ -8,7 +8,7 @@ JobTracker and the filesystem can be swapped for the imperative baseline
 (:mod:`repro.hadoop`) to reproduce the paper's stack-comparison CDFs.
 """
 
-from .jobtracker import JobTracker, scheduler_program, scheduler_source
+from .jobtracker import JobTracker, scheduler_program
 from .runner import JobRunner, MRCluster, build_mr_cluster, run_wordcount
 from .tasktracker import TaskTracker
 from .types import (
@@ -49,7 +49,6 @@ __all__ = [
     "reduce_index",
     "run_wordcount",
     "scheduler_program",
-    "scheduler_source",
     "wordcount_map",
     "wordcount_reduce",
     "zipf_corpus",

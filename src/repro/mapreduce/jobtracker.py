@@ -10,38 +10,25 @@ is decided entirely by the merged Overlog policy.
 from __future__ import annotations
 
 import itertools
-from importlib import resources
-from typing import Optional
 
 from ..overlog import Program, parse
-from ..sim.node import OverlogProcess
+from ..sim.node import OverlogProcess, program_source
 from .types import JobSpec
 
 POLICIES = ("fifo", "hadoop", "late")
 
-_SOURCES: dict[str, str] = {}
-
-
-def scheduler_source(name: str) -> str:
-    if name not in _SOURCES:
-        _SOURCES[name] = (
-            resources.files("repro.mapreduce")
-            .joinpath(f"scheduler_programs/{name}.olg")
-            .read_text()
-        )
-    return _SOURCES[name]
-
 
 def scheduler_program(policy: str = "fifo") -> Program:
     """The JobTracker program for a policy: FIFO core plus, optionally,
-    one of the speculative-execution rule modules."""
+    one of the speculative-execution rule modules (``spec_<policy>``)."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; pick one of {POLICIES}")
-    program = parse(scheduler_source("boom_mr"))
-    if policy == "hadoop":
-        program = program.merged(parse(scheduler_source("spec_hadoop")))
-    elif policy == "late":
-        program = program.merged(parse(scheduler_source("spec_late")))
+    path = "mapreduce/scheduler_programs/{}.olg"
+    program = parse(program_source(path.format("boom_mr")))
+    if policy != "fifo":
+        program = program.merged(
+            parse(program_source(path.format(f"spec_{policy}")))
+        )
     return program
 
 

@@ -163,8 +163,8 @@ gb8 invariant_violation("replication-factor", C) :-
 #: Namespace-shard disjointness for the partitioned master: files are
 #: hashed to exactly one partition (directories replicate everywhere),
 #: so one file path claimed by two *different* id scopes is a routing
-#: or split-brain bug.  Masters export ``fs_owner`` only when ownership
-#: is meaningful (see ``export_ownership`` on BoomFSMaster).
+#: or split-brain bug.  Only shards export ``fs_owner``: masters built
+#: without the shard-unsafe rules (``PARTITION_DROPPED_RULES``).
 GLOBAL_SHARD_INVARIANTS = """
 program global_shard_invariants;
 

@@ -7,7 +7,7 @@ here only bootstraps configuration, persists acceptor state across
 simulated crashes, and glues decided log entries into the BOOM-FS program.
 """
 
-from .replica import PaxosReplica, paxos_program, paxos_program_source
+from .replica import PaxosReplica, paxos_program
 from .replicated_master import (
     ReplicatedFSClient,
     ReplicatedMaster,
@@ -19,6 +19,5 @@ __all__ = [
     "ReplicatedFSClient",
     "ReplicatedMaster",
     "paxos_program",
-    "paxos_program_source",
     "replicated_master_program",
 ]

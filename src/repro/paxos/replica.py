@@ -1,8 +1,9 @@
 """Paxos replica process.
 
 :class:`PaxosReplica` hosts the pure consensus program (for protocol unit
-tests and the Paxos microbenchmark); :mod:`repro.paxos.replicated_master`
-builds on it to replicate the whole BOOM-FS NameNode.
+tests and the Paxos microbenchmark), and is the Paxos half of the
+replicated NameNode (:mod:`repro.paxos.replicated_master`), which composes
+it with the BOOM-FS half.
 
 Durability: real Paxos requires acceptor state to survive crashes.  The
 simulator's crash/restart wipes volatile state, so the replica persists its
@@ -15,28 +16,14 @@ declarative design buys.
 
 from __future__ import annotations
 
-from importlib import resources
-from typing import Any, Optional
+from typing import Any
 
 from ..overlog import Program, parse
-from ..sim.node import OverlogProcess
-
-_PAXOS_SOURCE: Optional[str] = None
-
-
-def paxos_program_source() -> str:
-    global _PAXOS_SOURCE
-    if _PAXOS_SOURCE is None:
-        _PAXOS_SOURCE = (
-            resources.files("repro.paxos")
-            .joinpath("programs/paxos.olg")
-            .read_text()
-        )
-    return _PAXOS_SOURCE
+from ..sim.node import OverlogProcess, program_source
 
 
 def paxos_program() -> Program:
-    return parse(paxos_program_source())
+    return parse(program_source("paxos/programs/paxos.olg"))
 
 
 class PaxosReplica(OverlogProcess):
@@ -56,14 +43,31 @@ class PaxosReplica(OverlogProcess):
         self,
         address: str,
         group: list[str],
-        program: Program | str | None = None,
         base_election_timeout_ms: int = 1000,
         election_stagger_ms: int = 400,
         seed: int = 0,
-        extra_functions: Optional[dict] = None,
         provenance: bool = False,
         profile: bool = False,
     ):
+        super().__init__(
+            address,
+            paxos_program(),
+            seed=seed,
+            extra_functions=self._paxos_half(
+                address, group, base_election_timeout_ms, election_stagger_ms
+            ),
+            provenance=provenance,
+            profile=profile,
+        )
+
+    def _paxos_half(
+        self,
+        address: str,
+        group: list[str],
+        base_election_timeout_ms: int,
+        election_stagger_ms: int,
+    ) -> dict:
+        """Configure this node's Paxos half; returns its functions."""
         if address not in group:
             raise ValueError(f"{address} not in its own group {group}")
         self.group = list(group)
@@ -71,17 +75,7 @@ class PaxosReplica(OverlogProcess):
         self.election_stagger_ms = election_stagger_ms
         self._disk: dict[str, list[tuple]] = {}
         self._localseq = 0
-
-        functions = dict(extra_functions or {})
-        functions["f_localseq"] = self._next_localseq
-        super().__init__(
-            address,
-            program if program is not None else paxos_program(),
-            seed=seed,
-            extra_functions=functions,
-            provenance=provenance,
-            profile=profile,
-        )
+        return {"f_localseq": self._next_localseq}
 
     def _next_localseq(self) -> int:
         self._localseq += 1
@@ -124,6 +118,7 @@ class PaxosReplica(OverlogProcess):
             "role",
             lambda row: leader_gauge.set(1 if row[1] == "leader" else 0),
         )
+        super().bootstrap()  # the other half of a composed node, if any
 
     def on_crash(self) -> None:
         # Persist acceptor and learner state ("fsync on crash" is a
@@ -140,7 +135,8 @@ class PaxosReplica(OverlogProcess):
         decided log (see repro.monitoring.global_invariants)."""
         from ..monitoring.global_invariants import paxos_state_rows
 
-        return paxos_state_rows(self.runtime, str(self.address), clock)
+        rows = paxos_state_rows(self.runtime, str(self.address), clock)
+        return rows + super().state_export_rows(clock)
 
     # -- inspection -----------------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 The paper's point: because both Paxos and the NameNode are Overlog
 programs over relations, "replicating the NameNode" is just loading both
-programs into the same runtime and adding a two-rule bridge that feeds
+programs into the same runtime and adding a one-rule bridge that feeds
 decided log entries into the FS program's ``request`` event.  This module
-does literally that.
+does literally that, and the node is likewise the Paxos replica composed
+with the BOOM-FS master.
 
 Determinism contract: every replica applies the same client operations in
 the same log order, and all identifier generation in the FS program flows
@@ -20,8 +21,9 @@ from typing import Optional
 
 from ..boomfs.chunks import DEFAULT_CHUNK_SIZE
 from ..boomfs.client import BoomFSClient
-from ..boomfs.master import ROOT_FILE_ID, master_program
+from ..boomfs.master import BoomFSMaster, master_program
 from ..overlog import parse
+from ..sim.node import OverlogProcess
 from ..transport import Address
 from .replica import PaxosReplica, paxos_program
 
@@ -45,8 +47,11 @@ def replicated_master_program(drop_rules: tuple[str, ...] = ()):
     )
 
 
-class ReplicatedMaster(PaxosReplica):
-    """One replica of a Paxos-replicated NameNode group."""
+class ReplicatedMaster(PaxosReplica, BoomFSMaster):
+    """One replica of a Paxos-replicated NameNode group: the Paxos half
+    and the BOOM-FS half over the union of their programs.  Hooks chain
+    through ``super()`` in that order (bootstrap facts and state exports
+    are Paxos's, then BOOM-FS's); everything else is inherited."""
 
     def __init__(
         self,
@@ -60,70 +65,19 @@ class ReplicatedMaster(PaxosReplica):
         drop_rules: tuple[str, ...] = (),
         seed: int = 0,
     ):
-        self.replication = replication
-        self.dn_timeout_ms = dn_timeout_ms
         # All replicas must share one id scope (default: the group name).
         scope = id_scope if id_scope is not None else "+".join(sorted(group))
-        self.id_scope = scope
-        # Sharded-and-replicated deployments flip this so exports carry
-        # fs_owner claims (replicas of one group share a scope, so they
-        # never trip shard-disjointness against each other).
-        self.export_ownership = False
-        super().__init__(
-            address,
-            group,
-            program=replicated_master_program(drop_rules),
-            base_election_timeout_ms=base_election_timeout_ms,
-            election_stagger_ms=election_stagger_ms,
-            seed=seed,
-            extra_functions={"f_idscope": lambda: scope},
-        )
-
-    def bootstrap(self) -> None:
-        super().bootstrap()  # paxos config + durable acceptor state
-        rt = self.runtime
-        rt.install("file", [(ROOT_FILE_ID, -1, "", True)])
-        rt.install("repfactor", [(self.replication,)])
-        rt.install("dn_timeout", [(self.dn_timeout_ms,)])
-
-    def state_export_rows(self, clock: int) -> list[tuple]:
-        """Both halves of the replicated NameNode export: the Paxos
-        cursor/log (from PaxosReplica) plus the FS chunk state."""
-        from ..monitoring.global_invariants import boomfs_state_rows
-
-        rows = super().state_export_rows(clock)
-        rows.extend(
-            boomfs_state_rows(
-                self.runtime,
-                str(self.address),
-                clock,
-                ownership_scope=(
-                    self.id_scope if self.export_ownership else None
-                ),
-            )
-        )
-        return rows
-
-    # -- inspection (mirrors BoomFSMaster) ------------------------------------
-
-    def paths(self) -> dict[str, int]:
-        return {path: fid for path, fid in self.runtime.rows("fqpath")}
-
-    def files(self) -> list[tuple]:
-        return self.runtime.rows("file")
-
-    def live_datanodes(self) -> list[str]:
-        return sorted(addr for addr, _ in self.runtime.rows("datanode"))
-
-    def chunks_of(self, file_id: int) -> list[str]:
-        rows = [r for r in self.runtime.rows("fchunk") if r[1] == file_id]
-        return [cid for cid, _, _ in sorted(rows, key=lambda r: r[2])]
-
-    def chunk_locations(self, chunk_id: str) -> list[str]:
-        return sorted(
-            addr
-            for addr, cid, _ in self.runtime.rows("hb_chunk")
-            if cid == chunk_id
+        functions = {
+            **self._paxos_half(
+                address, group, base_election_timeout_ms, election_stagger_ms
+            ),
+            **self._fs_half(replication, dn_timeout_ms, drop_rules, scope),
+        }
+        # One runtime over the union program: each half's own __init__
+        # would build a runtime over its half alone.
+        program = replicated_master_program(drop_rules)
+        OverlogProcess.__init__(
+            self, address, program, seed=seed, extra_functions=functions
         )
 
 

@@ -27,6 +27,8 @@ unit flushes immediately.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cache
+from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..metrics import MetricsRegistry, Tracer
@@ -37,6 +39,13 @@ from ..transport.envelope import Outbox
 
 if TYPE_CHECKING:
     from ..transport.base_cluster import BaseCluster
+
+
+@cache
+def program_source(path: str) -> str:
+    """The text of a shipped ``.olg`` program, ``path`` relative to the
+    ``repro`` package (e.g. ``"paxos/programs/paxos.olg"``); read once."""
+    return resources.files("repro").joinpath(path).read_text()
 
 
 class Process:

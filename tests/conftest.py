@@ -12,6 +12,10 @@ built with it unmodified (same name, head and body), so a rewritten copy
 of a rule (monitoring instrumentation) drives nothing here.  Each
 evaluator's counts are harvested when it is collected, and the survivors'
 at session end.
+
+The same run also fails when a deployed program declares a relation that
+none of its rules names (head, body or ``notin``): such a declaration is
+dead code that a rule-coverage count cannot see.
 """
 
 from __future__ import annotations
@@ -25,6 +29,40 @@ import repro
 from repro.overlog import Evaluator, parse
 
 TESTS = Path(__file__).resolve().parent
+
+
+def deployments() -> dict:
+    """Every program a shipped node runs, by deployment name."""
+    from repro.boomfs import master_program
+    from repro.mapreduce.jobtracker import POLICIES, scheduler_program
+    from repro.monitoring import global_invariants_source
+    from repro.paxos import paxos_program, replicated_master_program
+    from repro.telemetry import monitor_program
+
+    programs = {
+        "master": master_program(),
+        "paxos": paxos_program(),
+        "replicated master": replicated_master_program(),
+        "monitor": monitor_program(extra_source=global_invariants_source()),
+    }
+    for policy in POLICIES:
+        programs[f"jobtracker ({policy})"] = scheduler_program(policy)
+    return programs
+
+
+def unnamed_relations() -> dict[str, list[str]]:
+    """Per deployment, the declared relations that no rule names."""
+    out = {}
+    for deployment, program in deployments().items():
+        named = {
+            atom.name
+            for rule in program.rules
+            for atom in (rule.head, *rule.positives, *rule.negatives)
+        }
+        dead = sorted(d.name for d in program.decls if d.name not in named)
+        if dead:
+            out[deployment] = dead
+    return out
 
 
 class RuleCoverage:
@@ -42,6 +80,7 @@ class RuleCoverage:
         self.finalizers: list[weakref.finalize] = []
         self.full = self.deselected = self.enforced = False
         self.silent: dict[str, list[str]] | None = None
+        self.unnamed: dict[str, list[str]] = {}
 
     def harvest(self, keys: set, rule_fires: dict) -> None:
         for key in keys:
@@ -77,13 +116,14 @@ class RuleCoverage:
         for (program, rule), count in self.fires.items():
             if count == 0:
                 self.silent.setdefault(program, []).append(rule)
+        self.unnamed = unnamed_relations()
         # A run that failed or stopped early has not driven every rule.
         self.enforced = (
             self.full
             and not self.deselected
             and session.exitstatus == pytest.ExitCode.OK
         )
-        if self.silent and self.enforced:
+        if (self.silent or self.unnamed) and self.enforced:
             session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
     def pytest_terminal_summary(self, terminalreporter):
@@ -92,6 +132,11 @@ class RuleCoverage:
         never = sum(len(rules) for rules in self.silent.values())
         mode = "enforced" if self.enforced else "report only: not a full, passing run"
         write = terminalreporter.write_line
+        for deployment, relations in sorted(self.unnamed.items()):
+            write(
+                f"dead declarations ({mode}): {deployment} declares"
+                f" {', '.join(relations)}, which no rule names"
+            )
         if not never:
             write(f"rule coverage ({mode}): all {len(self.fires)} shipped rules fired")
             return

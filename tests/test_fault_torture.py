@@ -11,35 +11,11 @@ import random
 
 import pytest
 
-from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode, FSError, FSTimeout
-from repro.monitoring import (
-    InvariantMonitor,
-    boomfs_invariants_program,
-    with_invariants,
-)
-from repro.overlog import OverlogRuntime
+from repro.boomfs import BoomFSClient, DataNode, FSError, FSTimeout
 from repro.paxos import PaxosReplica, ReplicatedFSClient, ReplicatedMaster
 from repro.sim import Cluster, LatencyModel
 
-
-class _CheckedMaster(BoomFSMaster):
-    """NameNode with the invariant rules merged in and a strict monitor."""
-
-    def __init__(self, address: str, replication: int = 2):
-        super().__init__(address, replication=replication)
-        # Swap in the instrumented program and rebuild; the monitor is
-        # (re)attached by _make_runtime, including after crash-restarts.
-        self._program = with_invariants(
-            self._program, boomfs_invariants_program()
-        )
-        self.monitor = InvariantMonitor(strict=True)
-        self.runtime = self._make_runtime()
-
-    def _make_runtime(self) -> OverlogRuntime:
-        runtime = super()._make_runtime()
-        if hasattr(self, "monitor"):
-            self.monitor.attach(runtime)
-        return runtime
+from .helpers import CheckedMaster
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -47,7 +23,7 @@ class TestDataNodeChurn:
     def test_fs_survives_datanode_churn_with_invariants(self, seed):
         rng = random.Random(seed)
         cluster = Cluster(seed=seed, latency=LatencyModel(1, 2))
-        master = cluster.add(_CheckedMaster("master", replication=2))
+        master = cluster.add(CheckedMaster("master", replication=2))
         for i in range(5):
             cluster.add(DataNode(f"dn{i}", masters=["master"], heartbeat_ms=300))
         fs = cluster.add(

@@ -11,23 +11,31 @@ import pytest
 
 from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode
 from repro.boomfs.partition import PartitionedFSClient, partitioned_master
-from repro.monitoring import (
-    InvariantMonitor,
-    boomfs_invariants_program,
-    global_invariants_source,
-    with_invariants,
-)
+from repro.monitoring import global_invariants_source
 from repro.overlog import parse
+from repro.paxos import ReplicatedFSClient, ReplicatedMaster
 from repro.sim import Cluster
 
+from .helpers import CheckedMaster
 
-def _fs_cluster(seed=3, datanodes=3, replication=2):
+
+def _fs_cluster(seed=3, datanodes=3, replication=2, replicas=1):
+    """One BoomFSMaster, or a group of ``replicas`` ReplicatedMasters,
+    with DataNodes and a file written through a client."""
     cluster = Cluster(seed=seed)
-    cluster.add(BoomFSMaster("master", replication=replication))
+    if replicas == 1:
+        masters = ["master"]
+        cluster.add(BoomFSMaster("master", replication=replication))
+        client = cluster.add(BoomFSClient("client", masters=masters))
+    else:
+        masters = [f"m{i}" for i in range(replicas)]
+        for a in masters:
+            cluster.add(ReplicatedMaster(a, masters, replication=replication))
+        client = cluster.add(ReplicatedFSClient("client", masters))
     for i in range(datanodes):
-        cluster.add(DataNode(f"dn{i}", masters=["master"]))
-    client = cluster.add(BoomFSClient("client", masters=["master"]))
-    cluster.run_for(600)
+        cluster.add(DataNode(f"dn{i}", masters=masters))
+    # DataNodes register (and a group elects its leader).
+    cluster.run_for(600 if replicas == 1 else 2000)
     client.mkdir("/d")
     client.write("/d/a", b"payload-bytes " * 30)
     cluster.run_for(1500)  # full chunk reports settle the master's beliefs
@@ -56,12 +64,17 @@ class TestPackSource:
 
 
 class TestChunkAgreement:
-    def test_clean_rounds_are_silent(self):
-        cluster = _fs_cluster()
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_clean_rounds_are_silent(self, replicas):
+        cluster = _fs_cluster(replicas=replicas)
         monitor = cluster.enable_invariants(interval_ms=None)
         for clock in (1, 2, 3):
             _round(cluster, clock)
         assert monitor.violations() == []
+        # A replicated master exports both halves' state.
+        exported = ["fs_round", "fs_chunk", "fs_loc", "px_cursor", "px_state"]
+        received = [r for r in exported if monitor.runtime.rows(r)]
+        assert received == (exported[:3] if replicas == 1 else exported)
 
     def _wipe_a_replica(self, cluster):
         victim = next(
@@ -187,10 +200,8 @@ class TestPaxosGlobalInvariants:
 class TestShardDisjointness:
     def _partitioned(self):
         cluster = Cluster(seed=3)
-        m0 = cluster.add(partitioned_master("m0", 2, replication=1))
-        m1 = cluster.add(partitioned_master("m1", 2, replication=1))
-        m0.export_ownership = True
-        m1.export_ownership = True
+        cluster.add(partitioned_master("m0", replication=1))
+        cluster.add(partitioned_master("m1", replication=1))
         for i in range(2):
             cluster.add(DataNode(f"dn{i}", masters=["m0", "m1"]))
         client = cluster.add(
@@ -252,27 +263,12 @@ class TestAsyncInvariantMonitor:
     runtime, and the local InvariantMonitor must be re-attached so
     strict mode still records (and trips on) violations afterwards."""
 
-    class _CheckedMaster(BoomFSMaster):
-        def __init__(self, address: str):
-            super().__init__(address, replication=1)
-            self._program = with_invariants(
-                self._program, boomfs_invariants_program()
-            )
-            self.monitor = InvariantMonitor(strict=True)
-            self.runtime = self._make_runtime()
-
-        def _make_runtime(self):
-            runtime = super()._make_runtime()
-            if hasattr(self, "monitor"):
-                self.monitor.attach(runtime)
-            return runtime
-
     def test_strict_monitor_survives_crash_restart(self):
         from repro.transport.asyncio_backend import AsyncCluster
 
         cluster = AsyncCluster(seed=1, time_scale=5)
         try:
-            master = cluster.add(self._CheckedMaster("master"))
+            master = cluster.add(CheckedMaster("master", replication=1))
             cluster.run_for(300)
             cluster.crash("master")
             cluster.run_for(200)

@@ -14,7 +14,7 @@ from repro.sim import Cluster, LatencyModel
 def make_partitioned(partitions=4, datanodes=4, seed=0):
     cluster = Cluster(seed=seed, latency=LatencyModel(1, 1))
     masters = [
-        cluster.add(partitioned_master(f"master{p}", partitions, replication=2))
+        cluster.add(partitioned_master(f"master{p}", replication=2))
         for p in range(partitions)
     ]
     addrs = [m.address for m in masters]

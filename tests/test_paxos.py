@@ -95,6 +95,21 @@ class TestReplication:
         for r in replicas:
             assert sorted(r.decided_log().values()) == ops
 
+    def test_deposed_leader_passes_its_queue_on(self):
+        # With 100 ms links p0 leads only briefly, on a ballot its own
+        # acceptor has already refused: q3 must hold the three early ops
+        # that fw5 queued, and pd1/pd2 forward them once p0 is deposed.
+        cluster = Cluster(seed=0, latency=LatencyModel(100, 100))
+        group = [f"p{i}" for i in range(3)]
+        replicas = [cluster.add(PaxosReplica(a, group)) for a in group]
+        ops = [("early", i) for i in range(3)]
+        for v in ops:
+            replicas[0].submit(v)
+        cluster.run_for(20_000)
+        assert replicas[0].runtime.rows("pending") == []
+        for r in replicas:
+            assert sorted(r.decided_log().values()) == ops
+
     def test_agreement_under_message_loss(self):
         cluster, _, replicas = make_group(loss_rate=0.05, seed=5)
         leader = wait_for_leader(cluster, replicas)

@@ -113,9 +113,9 @@ class TestCommands:
         assert "hot rules" in repl.execute("profile")
 
     def test_boomfs_program_loads(self):
-        from repro.boomfs import master_program_source
+        from repro.sim.node import program_source
 
-        repl = Repl(master_program_source())
+        repl = Repl(program_source("boomfs/programs/boomfs_master.olg"))
         repl.execute("install file 0 -1 \"\" true")
         repl.execute("install repfactor 2")
         repl.execute("install dn_timeout 3000")

@@ -14,10 +14,11 @@ import json
 
 import pytest
 
-from repro.boomfs import BoomFSMaster, DataNode
+from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode
 from repro.boomfs.client import FSSession
 from repro.metrics import MetricsRegistry
 from repro.overlog import EvaluationError, OverlogRuntime, parse
+from repro.paxos import ReplicatedFSClient, ReplicatedMaster
 from repro.sim import Cluster, LatencyModel, Process
 from repro.sketches import (
     HyperLogLog,
@@ -551,35 +552,33 @@ class TestClusterTelemetry:
         assert monitor.samples()
         assert abs(finished_ms[True] - finished_ms[False]) <= 5, finished_ms
 
-    def test_under_replication_alarm_fires_on_a_real_master(self):
-        # replication=3 with one DataNode: every chunk under-replicated.
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_under_replication_alarm_fires_on_a_real_master(self, replicas):
+        # replication=2 over two DataNodes, one of which then crashes:
+        # every chunk stays under-replicated (there is no third target).
+        # replicas=1 is a lone BoomFSMaster, 3 a ReplicatedMaster group.
         cluster = Cluster(seed=0, latency=LatencyModel(1, 2))
-        cluster.add(BoomFSMaster("master", replication=3))
-        cluster.add(DataNode("dn1", ["master"]))
+        if replicas == 1:
+            masters = ["master"]
+            cluster.add(BoomFSMaster("master", replication=2))
+            fs = cluster.add(BoomFSClient("client", masters))
+        else:
+            masters = [f"m{i}" for i in range(replicas)]
+            for a in masters:
+                cluster.add(ReplicatedMaster(a, masters, replication=2))
+            fs = cluster.add(ReplicatedFSClient("client", masters))
+        for i in range(2):
+            cluster.add(DataNode(f"dn{i}", masters, heartbeat_ms=300))
         monitor = cluster.enable_telemetry(interval_ms=500)
-
-        class Writer(Process):
-            def __init__(self):
-                super().__init__("client")
-                self.done = False
-
-            def start(self):
-                self.session = FSSession(self, ["master"])
-                # write allocates a chunk; with one DN it stays under the
-                # replication factor of 3 forever.
-                self.session.write(
-                    "/f", b"data", lambda *a: setattr(self, "done", True)
-                )
-
-            def handle_message(self, relation, row):
-                self.session.on_message(relation, row)
-
-        writer = cluster.add(Writer())
-        assert cluster.run_until(lambda: writer.done, max_time_ms=5000)
-        cluster.run_for(2000)  # let exports + heartbeats settle
-        assert any(
-            name == "under-replicated" for name, *_ in monitor.alarms()
+        cluster.run_for(2000)
+        fs.write("/f", b"data")
+        cluster.crash("dn1")
+        cluster.run_for(6000)  # past the DataNode timeout, then an export
+        alarmed = sorted(
+            node for name, node, _ in monitor.alarms()
+            if name == "under-replicated"
         )
+        assert alarmed == masters
         # and the operator can ask why
         alarm = next(
             a for a in monitor.alarms() if a[0] == "under-replicated"
