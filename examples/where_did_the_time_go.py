@@ -27,7 +27,7 @@ master = cluster.add(
 for i in range(2):
     cluster.add(DataNode(f"dn{i}", masters=["master"], heartbeat_ms=500))
 recorder = cluster.enable_flight_recorder(dump_on=("alarm",))
-monitor = cluster.enable_telemetry(interval_ms=1000, per_op_latency=True)
+monitor = cluster.enable_monitor(interval_ms=1000, per_op_latency=True)
 cluster.run_for(1200)  # heartbeats register the DataNodes
 
 # -- drive 300 mixed metadata ops, one trace per op -------------------------

@@ -11,7 +11,10 @@ observability stack, empty fault schedule — and fails the process (exit
 1) if the control run produced any alarm or invariant violation: a
 monitoring plane that cries wolf on a healthy cluster is broken.  Then
 it runs one campaign per seed, writes each timeline/report JSON plus
-the pooled scenario matrix, and prints the text reports.
+the pooled scenario matrix, and prints the text reports.  A simulator
+campaign with a false positive or a false negative also fails the
+process; asyncio campaigns only report theirs, since their timing is
+real time.
 """
 
 from __future__ import annotations
@@ -100,6 +103,12 @@ def main(argv=None) -> int:
             (args.out / f"{spec.name}.json").write_text(result.to_json())
             print(render_campaign_text(result))
             results.append(result)
+            report = result.report
+            if backend == "sim" and (
+                report["false_positives"] or report["false_negatives"]
+            ):
+                print(f"[{spec.name}] false positive/negative -> FAIL")
+                failed = True
 
     if results:
         matrix = run_matrix(results)

@@ -1,13 +1,13 @@
 """Campaign analytics: episodes, fault↔signal matching, latency stats.
 
 The raw material is a :class:`~repro.campaign.timeline.Timeline` plus the
-monitor's alarm/violation logs; this module turns them into the numbers
-a fault-campaign observatory is for:
+monitor's signal log; this module turns them into the numbers a
+fault-campaign observatory is for:
 
-* **episodes** — an alarm that fires every telemetry round is one
-  *episode* from first firing to the poll that saw it leave the alarm
-  table; a violation that re-derives every export round is one episode
-  until it stops re-deriving (or the run ends: censored);
+* **episodes** — an alarm is one *episode* from its first firing to the
+  monitor step whose delete rule cleared it; a violation that
+  re-derives every export round is one episode until it stops
+  re-deriving (or the run ends: censored);
 * **incidents** — correlated fault groups (a crash *group*, a staggered
   restart storm) merge into one incident, because one group trips one
   detection episode;
@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..analysis.cdf import percentile
+from ..telemetry.monitor import ALARM, CLEAR, VIOLATION
 from .timeline import Timeline
 
 #: Correlated fault events closer than this (same class) merge into one
@@ -40,60 +41,46 @@ INCIDENT_JOIN_MS = 4000
 # -- episode extraction -------------------------------------------------------
 
 
-def alarm_episodes(
-    alert_log: Sequence[tuple[int, tuple]],
-    clears: Sequence[tuple[int, tuple[str, str]]],
-) -> list[dict]:
-    """Fold the monitor's firing log plus polled clear times into
-    episodes: per (name, subject), an episode opens at the first firing
-    and closes at the next observed clear; a later firing reopens."""
-    firings_by_key: dict[tuple[str, str], list[int]] = {}
-    detail_by_key: dict[tuple[str, str], str] = {}
-    for ms, row in alert_log:
+def alarm_episodes(signal_log: Sequence[tuple[int, str, tuple]]) -> list[dict]:
+    """Fold the monitor's signal log into alarm episodes: per (name,
+    subject), an episode opens at the first firing and closes at the
+    next clear; a later firing reopens."""
+    episodes: list[dict] = []
+    live: dict[tuple[str, str], dict] = {}
+    for ms, kind, row in signal_log:
         key = (str(row[0]), str(row[1]))
-        firings_by_key.setdefault(key, []).append(ms)
-        detail_by_key.setdefault(key, str(row[2]) if len(row) > 2 else "")
-    clears_by_key: dict[tuple[str, str], list[int]] = {}
-    for ms, key in clears:
-        clears_by_key.setdefault(key, []).append(ms)
-    episodes = []
-    for key in sorted(firings_by_key):
-        firings = sorted(firings_by_key[key])
-        key_clears = sorted(clears_by_key.get(key, []))
-        while firings:
-            start = firings[0]
-            clear = next((c for c in key_clears if c > start), None)
-            episodes.append(
-                {
-                    "name": key[0],
-                    "subject": key[1],
-                    "start_ms": start,
-                    "clear_ms": clear,
-                    "detail": detail_by_key[key],
-                }
-            )
-            if clear is None:
-                break
-            firings = [f for f in firings if f > clear]
-            key_clears = [c for c in key_clears if c > clear]
+        if kind == ALARM and key not in live:
+            live[key] = {
+                "name": key[0],
+                "subject": key[1],
+                "start_ms": ms,
+                "clear_ms": None,
+                "detail": str(row[2]) if len(row) > 2 else "",
+            }
+            episodes.append(live[key])
+        elif kind == CLEAR and key in live:
+            live.pop(key)["clear_ms"] = ms
     episodes.sort(key=lambda e: (e["start_ms"], e["name"], e["subject"]))
     return episodes
 
 
 def violation_episodes(
-    violation_log: Sequence[tuple[int, tuple]],
+    signal_log: Sequence[tuple[int, str, tuple]],
     end_ms: int,
     round_ms: int,
 ) -> list[dict]:
-    """Fold violation firings into episodes.  ``invariant_violation`` is
-    an event relation that re-derives every export round while the
-    condition holds, so an episode is a run of firings with no gap
-    wider than ~2.5 rounds; it clears one round after its last firing —
-    unless that last firing is near the run's end, in which case the
-    episode is still live and ``clear_ms`` is ``None`` (censored)."""
+    """Fold the signal log's violation firings into episodes.
+    ``invariant_violation`` is an event relation that re-derives every
+    export round while the condition holds, so an episode is a run of
+    firings with no gap wider than ~2.5 rounds; it clears one round
+    after its last firing — unless that last firing is near the run's
+    end, in which case the episode is still live and ``clear_ms`` is
+    ``None`` (censored)."""
     gap_ms = int(2.5 * round_ms)
     firings_by_key: dict[tuple[str, str], list[int]] = {}
-    for ms, row in violation_log:
+    for ms, kind, row in signal_log:
+        if kind != VIOLATION:
+            continue
         key = (str(row[0]), str(row[1]))
         firings_by_key.setdefault(key, []).append(ms)
     episodes = []

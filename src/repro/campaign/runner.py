@@ -1,20 +1,21 @@
 """The campaign runner: one seeded fault campaign, end to end.
 
 A campaign is: build a BOOM-FS cluster (either backend), preload some
-replicated files, arm the full observability stack — cluster-scoped
-invariants, the telemetry plane with per-op latency SLOs, the flight
-recorder — then drive an open-loop metadata workload while a generated
-multi-class fault schedule fires, and record everything that happens on
-one unified timeline.  On the simulator backend the whole run is
-deterministic, so the timeline (and the JSON artifact) is
-byte-reproducible for a given :class:`CampaignSpec`.
+replicated files, arm the full observability stack — the monitor plane
+(telemetry, per-op latency SLOs and cluster-scoped invariants in one
+export round), the flight recorder — then drive an open-loop metadata
+workload while a generated multi-class fault schedule fires, and record
+everything that happens on one unified timeline.  On the simulator
+backend the whole run is deterministic, so the timeline (and the JSON
+artifact) is byte-reproducible for a given :class:`CampaignSpec`.
 
 The chronology matters and is encoded here once:
 
-1. topology + preload *before* the planes are armed, so bring-up noise
+1. topology + preload *before* the monitor is armed, so bring-up noise
    (empty chunk tables, first heartbeats) never shows up as signal;
-2. ``enable_invariants`` *before* ``enable_telemetry`` (the monitor's
-   rule set is fixed at construction);
+2. one ``enable_monitor`` arms every pack and the export round, so the
+   monitor's signal log holds every alarm firing, alarm clear and
+   violation at the step that derived it;
 3. the load driver is open-loop (``arrival_ms``), so the workload spans
    the fault slots instead of racing ahead of them;
 4. after the last scheduled event the run quiesces for ``quiesce_ms``
@@ -47,8 +48,8 @@ class CampaignSpec:
     preload_files: int = 4
     total_ops: int = 1000
     arrival_ms: int = 60
-    round_ms: int = 500  # telemetry + state-export interval
-    warmup_ms: int = 3000  # planes armed -> first fault slot
+    round_ms: int = 500  # export round interval
+    warmup_ms: int = 3000  # monitor armed -> first fault slot
     quiesce_ms: int = 8000  # after the last scheduled event
     slot_ms: int = 12_000
     #: p99 SLO on request latency (virtual ms).  ``None`` picks a
@@ -113,7 +114,6 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     """Run one campaign to completion and analyse it."""
     timeline = Timeline()
     cluster = _build_cluster(spec)
-    polling = True
     try:
         cluster.add(
             BoomFSMaster("master", replication=spec.replication)
@@ -132,8 +132,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         # are settled before anything starts judging them.
         cluster.run_for(1200)
 
-        monitor = cluster.enable_invariants(interval_ms=spec.round_ms)
-        cluster.enable_telemetry(
+        monitor = cluster.enable_monitor(
             interval_ms=spec.round_ms, per_op_latency=True
         )
         slo_p99_ms = spec.slo_p99_ms
@@ -148,30 +147,6 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
             directory=spec.dump_dir,
             dump_on=("crash", "alarm", "violation"),
         )
-
-        # Alarm-clear poller: firings arrive via the monitor's watch
-        # hook (alert_log), but clears are silent PK deletions, so the
-        # runner polls the alarm table once per round and timestamps
-        # disappearances.
-        live_alarms: dict[tuple[str, str], int] = {}
-        alarm_clears: list[tuple[int, tuple[str, str]]] = []
-
-        def poll_alarms() -> None:
-            if not polling:
-                return
-            if not monitor.crashed:
-                current = {
-                    (str(r[0]), str(r[1])) for r in monitor.alarms()
-                }
-                for key in sorted(live_alarms):
-                    if key not in current:
-                        alarm_clears.append((cluster.now, key))
-                        del live_alarms[key]
-                for key in sorted(current):
-                    live_alarms.setdefault(key, cluster.now)
-            cluster.schedule(spec.round_ms, poll_alarms)
-
-        cluster.schedule(spec.round_ms, poll_alarms)
 
         schedule_end = cluster.now
         if spec.classes:
@@ -225,10 +200,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         horizon = max(cluster.now, schedule_end) + spec.quiesce_ms
         if cluster.now < horizon:
             cluster.run_for(horizon - cluster.now)
-        polling = False
         end_ms = cluster.now
 
-        for ep in alarm_episodes(monitor.alert_log, alarm_clears):
+        for ep in alarm_episodes(monitor.signal_log):
             timeline.add(
                 ep["start_ms"],
                 "alarm",
@@ -241,7 +215,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
                     ep["clear_ms"], "alarm-clear", ep["name"], ep["subject"]
                 )
         for ep in violation_episodes(
-            monitor.violation_log, end_ms, spec.round_ms
+            monitor.signal_log, end_ms, spec.round_ms
         ):
             timeline.add(
                 ep["start_ms"], "violation", ep["name"], ep["subject"]
@@ -264,7 +238,6 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
             ),
         )
     finally:
-        polling = False
         cluster.shutdown()
 
 

@@ -3,9 +3,10 @@
 Traces answer *where did the time go* for requests you thought to trace;
 the flight recorder answers *what was this node just doing* when
 something went wrong.  It keeps a bounded ring per node of recent
-envelope sends/deliveries/drops, trace span events and alarm firings,
-and dumps a deterministic JSONL post-mortem when a node crashes or an
-alert-pack alarm fires (docs/OBSERVABILITY.md).
+envelope sends/deliveries/drops, trace span events and the monitor's
+signals (alarm firings and clears, invariant violations), and dumps a
+deterministic JSONL post-mortem when a node crashes, an alarm fires or a
+cluster invariant is violated (docs/OBSERVABILITY.md).
 
 Determinism: entries carry a global sequence number and the transport
 clock's virtual milliseconds — never wall time — and dumps are key-sorted
@@ -29,15 +30,25 @@ _ROWS_PER_ENVELOPE = 4
 #: Max characters kept per row repr.
 _ROW_REPR_CAP = 120
 
+#: What can trigger a dump, as named in ``dump_on``.
+DUMP_REASONS = ("crash", "alarm", "violation")
+
+#: The dump reason each dumping monitor signal kind triggers (a clear
+#: dumps nothing).
+_SIGNAL_REASON = {"alarm": "alarm", "invariant_violation": "violation"}
+
 
 class FlightRecorder:
-    """Bounded per-node rings of recent envelopes, span events and alarms.
+    """Bounded per-node rings of recent envelopes, span events and the
+    monitor's signals.
 
     Wire-up (the cluster's ``enable_flight_recorder`` does all three):
 
     * ``transport.recorder = recorder`` — envelope lifecycle entries;
     * ``tracer.add_listener(recorder.on_trace_event)`` — span events;
-    * monitor alarm hook / ``cluster.crash`` — triggering dumps.
+    * the monitor's signal hook / ``cluster.crash`` — triggering dumps.
+
+    ``dump_on`` names the triggers, any of :data:`DUMP_REASONS`.
     """
 
     def __init__(
@@ -47,15 +58,20 @@ class FlightRecorder:
         dump_on: Iterable[str] = ("crash", "alarm"),
         clock: Optional[Callable[[], int]] = None,
     ) -> None:
+        self.dump_on = tuple(dump_on)
+        unknown = sorted(set(self.dump_on) - set(DUMP_REASONS))
+        if unknown:
+            raise ValueError(
+                f"unknown dump_on reason(s) {unknown}; "
+                f"choose from {', '.join(DUMP_REASONS)}"
+            )
         self.capacity = capacity
         self.directory = Path(directory) if directory is not None else None
-        self.dump_on = tuple(dump_on)
         self._clock = clock if clock is not None else (lambda: 0)
         self._rings: dict[str, deque] = {}
         self._seq = 0
         self._dump_n = 0
-        # Violations re-derive on every export round while the bad state
-        # persists; dump only the first firing per (node, name, subject).
+        # (node, name, subject) of every violation dumped so far.
         self._violation_dumped: set[tuple] = set()
         # (reason, node, path-or-None, text) per dump, newest last.
         self.dumps: list[tuple[str, str, Optional[str], str]] = []
@@ -105,23 +121,24 @@ class FlightRecorder:
         entry = {k: v for k, v in event.items() if k not in ("node", "kind")}
         self.record(node, f"trace_{event['kind']}", **entry)
 
-    def on_alarm(self, node: str, name: str, **fields) -> None:
-        """Record an alert-pack alarm firing; auto-dumps when ``"alarm"``
-        is in ``dump_on``."""
-        self.record(node, "alarm", name=name, **fields)
-        if "alarm" in self.dump_on:
-            self.dump(f"alarm:{name}", node=node)
-
-    def on_violation(self, node: str, name: str, **fields) -> None:
-        """Record a cluster-invariant violation firing; auto-dumps the
-        first occurrence per (node, name, subject) when ``"violation"``
-        is in ``dump_on``."""
-        self.record(node, "violation", name=name, **fields)
-        if "violation" in self.dump_on:
-            key = (node, name, fields.get("subject"))
-            if key not in self._violation_dumped:
-                self._violation_dumped.add(key)
-                self.dump(f"violation:{name}", node=node)
+    def on_signal(self, node: str, kind: str, row: tuple) -> None:
+        """Record one monitor signal (an ``alarm`` firing, its ``clear``
+        or an ``invariant_violation``) from ``node``.  An alarm dumps
+        when ``"alarm"`` is in ``dump_on``; a violation, which
+        re-derives every export round while the bad state persists,
+        dumps only its first occurrence per (node, name, subject) when
+        ``"violation"`` is."""
+        name, subject = str(row[0]), str(row[1])
+        self.record(node, kind, name=name, subject=subject)
+        reason = _SIGNAL_REASON.get(kind)
+        if reason not in self.dump_on:
+            return
+        if reason == "violation":
+            key = (node, name, subject)
+            if key in self._violation_dumped:
+                return
+            self._violation_dumped.add(key)
+        self.dump(f"{reason}:{name}", node=node)
 
     def on_crash(self, node: str) -> None:
         """Record a node crash; auto-dumps when ``"crash"`` is in
@@ -178,4 +195,4 @@ class FlightRecorder:
         return text
 
 
-__all__ = ["DEFAULT_CAPACITY", "FlightRecorder"]
+__all__ = ["DEFAULT_CAPACITY", "DUMP_REASONS", "FlightRecorder"]

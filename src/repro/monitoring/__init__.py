@@ -17,14 +17,13 @@ from ..telemetry.alerts import (
 )
 from ..telemetry.monitor import ALARM_RELATION, MonitorProcess
 from .global_invariants import (
+    DEFAULT_PACKS,
     GLOBAL_BOOMFS_INVARIANTS,
     GLOBAL_INVARIANT_PACKS,
     GLOBAL_PAXOS_INVARIANTS,
     GLOBAL_SHARD_INVARIANTS,
-    GLOBAL_STATE_CORE,
     boomfs_state_rows,
     datanode_state_rows,
-    global_invariants_source,
     paxos_state_rows,
 )
 from .invariants import (
@@ -48,11 +47,11 @@ __all__ = [
     "BOOMFS_ALERTS",
     "BOOMFS_INVARIANTS",
     "DEFAULT_ALERT_PACKS",
+    "DEFAULT_PACKS",
     "GLOBAL_BOOMFS_INVARIANTS",
     "GLOBAL_INVARIANT_PACKS",
     "GLOBAL_PAXOS_INVARIANTS",
     "GLOBAL_SHARD_INVARIANTS",
-    "GLOBAL_STATE_CORE",
     "InvariantMonitor",
     "MonitorProcess",
     "PAXOS_ALERTS",
@@ -66,7 +65,6 @@ __all__ = [
     "boomfs_invariants_program",
     "boomfs_state_rows",
     "datanode_state_rows",
-    "global_invariants_source",
     "paxos_invariants_program",
     "paxos_state_rows",
     "with_invariants",

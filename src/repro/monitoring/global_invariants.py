@@ -29,57 +29,31 @@ properties no single node can check:
 Transient-state hygiene: every export round carries the sender's clock,
 and rules that could misfire on in-flight messages require the condition
 to hold for *two consecutive rounds on both sides* before deriving a
-violation.  Round markers (``fs_round``/``dn_round``/``px_cursor``) are
-small and kept forever (bounded by round count); bulk state rows are
-pruned below the previous round by delete rules.
+violation.  The monitor's core program
+(:data:`~repro.telemetry.monitor.MONITOR_PROGRAM`) declares every
+exported relation and keeps the last-two-round window (``fs_cur`` /
+``fs_prev``, ``dn_cur`` / ``dn_prev``): round markers
+(``fs_round``/``dn_round``/``px_cursor``) are small and kept forever
+(bounded by round count); bulk state rows are pruned below the previous
+round.  The packs here hold only the judging rules.
 
-Wire-up is :meth:`repro.transport.base_cluster.BaseCluster.enable_invariants`,
-which installs these packs on the monitor and arms every node's
-:meth:`~repro.sim.node.Process.publish_state` loop.  Violations surface
-exactly like alarms: a ``violation_log`` on the monitor,
-``why_violation()`` provenance, and flight-recorder dumps.
+Wire-up is :meth:`repro.transport.base_cluster.BaseCluster.enable_monitor`:
+each export round ships every node's state export beside its telemetry,
+and a violation lands on the monitor's ``signal_log`` like an alarm,
+explained by ``cluster.why(monitor, "invariant_violation", row)`` and
+dumped by a flight recorder armed with ``dump_on=("violation", ...)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-#: Shared declarations + export-round bookkeeping.  Always prepended by
-#: :func:`global_invariants_source`, so the other packs can assume the
-#: round machinery exists without redeclaring its rules.
-GLOBAL_STATE_CORE = """
-program global_state_core;
-
-event(invariant_violation, 2);
-
-/* per-master export rounds and the last-two-round window over them */
-define(fs_round, keys(0, 1), {Str, Int});
-define(fs_cur, keys(0), {Str, Int});
-define(fs_prev, keys(0), {Str, Int});
-
-/* per-datanode export rounds, same shape */
-define(dn_round, keys(0, 1), {Str, Int});
-define(dn_cur, keys(0), {Str, Int});
-define(dn_prev, keys(0), {Str, Int});
-
-gw1 fs_cur(M, max<R>) :- fs_round(M, R);
-gw2 fs_prev(M, max<R>) :- fs_round(M, R), fs_cur(M, Cur), R < Cur;
-gw3 dn_cur(D, max<R>) :- dn_round(D, R);
-gw4 dn_prev(D, max<R>) :- dn_round(D, R), dn_cur(D, Cur), R < Cur;
-"""
+from ..telemetry.alerts import DEFAULT_ALERT_PACKS
 
 #: Paxos cross-replica safety over ``px_state``/``px_cursor`` exports.
 GLOBAL_PAXOS_INVARIANTS = """
 program global_paxos_invariants;
 
-event(invariant_violation, 2);
-
-/* node, instance, value: each replica's full decided log */
-define(px_state, keys(0, 1), {Str, Int, Any});
-/* node, ballot, applied, clock: one cursor row per export round.
-   History is kept (keyed by clock) so high-water marks survive the
-   primary-key replacement that a single-row cursor would suffer. */
-define(px_cursor, keys(0, 3), {Str, Int, Int, Int});
 define(px_cur, keys(0), {Str, Int});
 define(px_ballot_high, keys(0), {Str, Int});
 define(px_applied_high, keys(0), {Str, Int});
@@ -109,34 +83,17 @@ gp6 invariant_violation("applied-regression", N) :-
 GLOBAL_BOOMFS_INVARIANTS = """
 program global_boomfs_invariants;
 
-event(invariant_violation, 2);
-
-/* master, chunk, datanode, round: the master's location belief */
-define(fs_loc, keys(0, 1, 2, 3), {Str, Str, Str, Int});
-/* master, chunk, round: chunks the namespace references */
-define(fs_chunk, keys(0, 1, 2), {Str, Str, Int});
-/* master, replication factor */
-define(fs_rf, keys(0), {Str, Int});
-/* datanode, chunk, round: the datanode's actual inventory */
-define(dn_chunk, keys(0, 1, 2), {Str, Str, Int});
+/* master, chunk, round, live location count */
 define(fs_loc_cnt, keys(0, 1, 2), {Str, Str, Int, Int});
 
-/* bulk state below the two-round window is pruned */
-gb1 delete fs_loc(M, C, D, R) :-
-        fs_loc(M, C, D, R), fs_prev(M, P), R < P;
-gb2 delete fs_chunk(M, C, R) :-
-        fs_chunk(M, C, R), fs_prev(M, P), R < P;
-gb3 delete dn_chunk(D, C, R) :-
-        dn_chunk(D, C, R), dn_prev(D, P), R < P;
-
-gb4 fs_loc_cnt(M, C, R, count<D>) :- fs_loc(M, C, D, R);
-gb5 delete fs_loc_cnt(M, C, R, N) :-
+gb1 fs_loc_cnt(M, C, R, count<D>) :- fs_loc(M, C, D, R);
+gb2 delete fs_loc_cnt(M, C, R, N) :-
         fs_loc_cnt(M, C, R, N), fs_prev(M, P), R < P;
 
 /* the master believed D held C for its last two rounds, while D's own
    last two inventory exports both lack C: the belief is stale — the
    amnesiac-restart case no heartbeat or alert pack ever corrects */
-gb6 invariant_violation("chunk-agreement", C) :-
+gb3 invariant_violation("chunk-agreement", C) :-
         fs_loc(M, C, D, R1), fs_cur(M, R1),
         fs_loc(M, C, D, R0), fs_prev(M, R0),
         dn_cur(D, DR), notin dn_chunk(D, C, DR),
@@ -144,7 +101,7 @@ gb6 invariant_violation("chunk-agreement", C) :-
 
 /* a chunk the namespace references has had no live location at all
    for two consecutive master rounds (every replica dead or timed out) */
-gb7 invariant_violation("chunk-unhosted", C) :-
+gb4 invariant_violation("chunk-unhosted", C) :-
         fs_chunk(M, C, R1), fs_cur(M, R1),
         fs_chunk(M, C, R0), fs_prev(M, R0),
         notin fs_loc(M, C, _, R1),
@@ -152,7 +109,7 @@ gb7 invariant_violation("chunk-unhosted", C) :-
 
 /* a referenced chunk has been below the replication factor (but not
    unhosted) for two consecutive master rounds */
-gb8 invariant_violation("replication-factor", C) :-
+gb5 invariant_violation("replication-factor", C) :-
         fs_chunk(M, C, R1), fs_cur(M, R1),
         fs_chunk(M, C, R0), fs_prev(M, R0),
         fs_rf(M, F),
@@ -168,47 +125,20 @@ gb8 invariant_violation("replication-factor", C) :-
 GLOBAL_SHARD_INVARIANTS = """
 program global_shard_invariants;
 
-event(invariant_violation, 2);
-
-/* scope, master, file path, round */
-define(fs_owner, keys(0, 1, 2, 3), {Str, Str, Str, Int});
-
-gs1 delete fs_owner(S, M, Path, R) :-
-        fs_owner(S, M, Path, R), fs_prev(M, P), R < P;
-
-gs2 invariant_violation("shard-overlap", Path) :-
+gs1 invariant_violation("shard-overlap", Path) :-
         fs_owner(S1, N1, Path, R1), fs_cur(N1, R1),
         fs_owner(S2, N2, Path, R2), fs_cur(N2, R2),
         S1 != S2;
 """
 
-#: Default pack set installed by ``BaseCluster.enable_invariants``.
 GLOBAL_INVARIANT_PACKS = (
     GLOBAL_PAXOS_INVARIANTS,
     GLOBAL_BOOMFS_INVARIANTS,
     GLOBAL_SHARD_INVARIANTS,
 )
 
-
-def global_invariants_source(
-    packs: Optional[Iterable[str]] = None,
-) -> str:
-    """The monitor-side Overlog source: core round machinery plus the
-    selected packs (default: all of them), fused into one program —
-    pack headers are stripped so the result parses as a single source
-    (``MonitorProcess``'s ``extra_source`` takes exactly one program;
-    duplicate declarations across packs dedupe on merge)."""
-    selected = GLOBAL_INVARIANT_PACKS if packs is None else tuple(packs)
-    bodies = []
-    for pack in (GLOBAL_STATE_CORE, *selected):
-        bodies.append(
-            "\n".join(
-                line
-                for line in pack.splitlines()
-                if not line.lstrip().startswith("program ")
-            )
-        )
-    return "program global_invariants;\n" + "\n".join(bodies)
+#: The monitor's default packs: every alert and cluster-invariant pack.
+DEFAULT_PACKS = DEFAULT_ALERT_PACKS + GLOBAL_INVARIANT_PACKS
 
 
 def paxos_state_rows(runtime, node: str, clock: int) -> list[tuple]:
@@ -261,13 +191,12 @@ def datanode_state_rows(datanode, clock: int) -> list[tuple]:
 
 
 __all__ = [
+    "DEFAULT_PACKS",
     "GLOBAL_BOOMFS_INVARIANTS",
     "GLOBAL_INVARIANT_PACKS",
     "GLOBAL_PAXOS_INVARIANTS",
     "GLOBAL_SHARD_INVARIANTS",
-    "GLOBAL_STATE_CORE",
     "boomfs_state_rows",
     "datanode_state_rows",
-    "global_invariants_source",
     "paxos_state_rows",
 ]

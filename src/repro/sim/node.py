@@ -61,18 +61,6 @@ class Process:
         self.metrics = MetricsRegistry(str(address))
         self._outbox = Outbox(address)
         self._send_depth = 0
-        # Telemetry export loop (docs/TELEMETRY.md), armed by
-        # Cluster.enable_telemetry: where to ship registry snapshots
-        # and how often (None = explicit publish_telemetry() only).
-        self._telemetry_dst: Optional[Address] = None
-        self._telemetry_interval: Optional[int] = None
-        self._telemetry_gen = 0
-        # State export loop (docs/OBSERVABILITY.md), armed by
-        # Cluster.enable_invariants: ships state_export_rows() snapshots
-        # to the monitor for cluster-scoped invariant checking.
-        self._state_dst: Optional[Address] = None
-        self._state_interval: Optional[int] = None
-        self._state_gen = 0
 
     # -- lifecycle, called by the cluster ------------------------------------
 
@@ -155,102 +143,31 @@ class Process:
 
         return self.cluster.schedule(delay_ms, guarded)
 
-    # -- telemetry export (docs/TELEMETRY.md) ----------------------------------
+    # -- the monitor's export round (docs/TELEMETRY.md) ------------------------
 
-    def enable_telemetry(
-        self, monitor: Address, interval_ms: Optional[int] = None
-    ) -> None:
-        """Start shipping this node's registry to ``monitor`` as
-        ``telemetry`` tuples: every ``interval_ms`` when set, and on any
-        explicit :meth:`publish_telemetry` call.  Called by the cluster
-        on enable, on membership changes and after restarts; each call
-        supersedes any previous export loop (a crash kills the timer
-        chain, so the restart path must be able to arm a fresh one)."""
-        self._telemetry_dst = monitor
-        self._telemetry_interval = interval_ms
-        self._telemetry_gen += 1
-        if interval_ms is not None:
-            self._arm_telemetry(self._telemetry_gen)
-
-    def disable_telemetry(self) -> None:
-        self._telemetry_dst = None
-        self._telemetry_interval = None
-        self._telemetry_gen += 1
-
-    def _arm_telemetry(self, gen: int) -> None:
-        def tick() -> None:
-            if gen != self._telemetry_gen or self._telemetry_interval is None:
-                return  # superseded by a newer enable/disable
-            self.publish_telemetry()
-            self._arm_telemetry(gen)
-
-        self.after(self._telemetry_interval, tick)
-
-    def publish_telemetry(self, clock: Optional[int] = None) -> int:
-        """Snapshot the registry into ``telemetry(node, metric, kind,
-        payload, clock)`` tuples and ship them to the monitor over the
-        ordinary envelope transport.  ``clock`` defaults to transport
-        time; deterministic tests pass an explicit round number so both
-        backends emit identical tuples.  Returns the tuple count."""
-        if self._telemetry_dst is None or self.crashed:
+    def publish(self, clock: Optional[int] = None) -> int:
+        """Ship one export round to the cluster's monitor as one delivery
+        unit: the registry as ``telemetry(node, metric, kind, payload,
+        clock)`` tuples plus the :meth:`state_export_rows` snapshot.
+        ``clock`` defaults to transport time; deterministic tests pass an
+        explicit round number.  Returns the tuple count (0 when no
+        monitor is armed, or this node is down or is the monitor)."""
+        monitor = self.cluster.monitor if self.cluster is not None else None
+        if monitor is None or monitor is self or self.crashed:
             return 0
         from ..telemetry.export import telemetry_rows
 
-        rows = telemetry_rows(
-            self.metrics,
-            node=str(self.address),
-            clock=self.now if clock is None else clock,
-        )
-        with self.sending():
-            for row in rows:
-                self.send(self._telemetry_dst, "telemetry", row)
-        return len(rows)
-
-    # -- state export (cluster-scoped invariants) ------------------------------
-
-    def enable_state_export(
-        self, monitor: Address, interval_ms: Optional[int] = None
-    ) -> None:
-        """Start shipping this node's :meth:`state_export_rows` snapshot
-        to ``monitor``: every ``interval_ms`` when set, and on any
-        explicit :meth:`publish_state` call.  Same loop-generation
-        discipline as telemetry (a crash kills the timer chain; the
-        restart path arms a fresh one)."""
-        self._state_dst = monitor
-        self._state_interval = interval_ms
-        self._state_gen += 1
-        if interval_ms is not None:
-            self._arm_state_export(self._state_gen)
-
-    def disable_state_export(self) -> None:
-        self._state_dst = None
-        self._state_interval = None
-        self._state_gen += 1
-
-    def _arm_state_export(self, gen: int) -> None:
-        def tick() -> None:
-            if gen != self._state_gen or self._state_interval is None:
-                return  # superseded by a newer enable/disable
-            self.publish_state()
-            self._arm_state_export(gen)
-
-        self.after(self._state_interval, tick)
-
-    def publish_state(self, clock: Optional[int] = None) -> int:
-        """Snapshot this node's safety-relevant state into
-        ``(relation, row)`` deltas and ship them to the monitor, where
-        the cluster-scoped invariant packs join them across nodes
-        (:mod:`repro.monitoring.global_invariants`).  ``clock`` defaults
-        to transport time; deterministic tests pass explicit round
-        numbers.  Returns the tuple count."""
-        if self._state_dst is None or self.crashed:
-            return 0
-        rows = self.state_export_rows(
-            self.now if clock is None else clock
-        )
+        clock = self.now if clock is None else clock
+        rows = [
+            ("telemetry", row)
+            for row in telemetry_rows(
+                self.metrics, node=str(self.address), clock=clock
+            )
+        ]
+        rows.extend(self.state_export_rows(clock))
         with self.sending():
             for relation, row in rows:
-                self.send(self._state_dst, relation, row)
+                self.send(monitor.address, relation, row)
         return len(rows)
 
     def state_export_rows(self, clock: int) -> list[tuple]:

@@ -8,11 +8,13 @@ to a :class:`MonitorProcess`, whose aggregation and health logic is —
 in the paper's spirit — written in Overlog itself.  Distribution and
 cardinality metrics travel as mergeable sketch payloads
 (:mod:`repro.sketches`), so cluster-wide rollups cost O(nodes), not
-O(observations).
+O(observations).  The same export round carries each node's state
+export for the cluster-invariant packs
+(:mod:`repro.monitoring.global_invariants`).
 
 Wiring lives on the cluster surface::
 
-    monitor = cluster.enable_telemetry(interval_ms=1000)
+    monitor = cluster.enable_monitor(interval_ms=1000)
     ...
     print(cluster.telemetry_dashboard())
     cluster.export_telemetry_jsonl("telemetry.jsonl")
@@ -34,15 +36,20 @@ from .export import (
     write_telemetry_jsonl,
 )
 from .monitor import (
+    ALARM,
     ALARM_RELATION,
+    CLEAR,
     MONITOR_PROGRAM,
     MonitorProcess,
     TELEMETRY_RELATION,
+    VIOLATION,
     monitor_program,
 )
 
 __all__ = [
+    "ALARM",
     "ALARM_RELATION",
+    "CLEAR",
     "BOOMFS_ALERTS",
     "DEFAULT_ALERT_PACKS",
     "MONITOR_PROGRAM",
@@ -50,6 +57,7 @@ __all__ = [
     "PAXOS_ALERTS",
     "TELEMETRY_RELATION",
     "TRANSPORT_ALERTS",
+    "VIOLATION",
     "monitor_program",
     "render_telemetry_dashboard",
     "telemetry_jsonl",

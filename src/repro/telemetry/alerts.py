@@ -4,16 +4,16 @@ Alerts are rules over the monitor's ``metric_sample`` table whose heads
 derive ``alarm(name, subject, detail)`` tuples — and whose *delete*
 twins retract the alarm when the condition clears, so the alarm table
 is always the live set of problems, not a log (the monitor's
-``alert_log`` keeps the firing history).
+``signal_log`` keeps every firing and clear).
 
 Because an alarm is an ordinary derived tuple, the PR 3 provenance
-ledger explains it: ``monitor.why_alarm(row)`` walks from the alarm
-through the rule to the exact ``telemetry`` inputs — which node sent
-which metric with which payload — the declarative version of "why is
-this light red?".
+ledger explains it: ``cluster.why("monitor", "alarm", row)`` walks from
+the alarm through the rule to the exact ``telemetry`` inputs — which
+node sent which metric with which payload — the declarative version of
+"why is this light red?".
 
 Each pack is a string so deployments compose them (and their own) via
-:func:`repro.telemetry.monitor.monitor_program`'s ``alert_packs``.
+:func:`repro.telemetry.monitor.monitor_program`'s ``packs``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ lies in the wire codec's value domain (:mod:`repro.transport.codec`:
 ``tuple``, of exact type), so a telemetry tuple survives TCP endpoints
 and stores in Overlog tables unchanged.
 
-:func:`telemetry_rows` is the only serializer: the per-node export loop
-(:meth:`repro.sim.node.Process.publish_telemetry`), the cluster-level
+:func:`telemetry_rows` is the only serializer: each node's export round
+(:meth:`repro.sim.node.Process.publish`), the cluster-level
 transport-scope export and the tests all call it, so there is exactly
 one place where a registry becomes tuples.
 """

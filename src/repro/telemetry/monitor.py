@@ -18,7 +18,12 @@ ships it:
   derive alarms and *delete* them when the condition clears; because
   alarms are derived tuples, ``why()`` walks each one back to the
   emitting node's metric samples through the provenance ledger
-  (provenance is on by default here).
+  (provenance is on by default here);
+* ``invariant_violation`` — the cluster-invariant packs
+  (:mod:`repro.monitoring.global_invariants`) join the nodes' state
+  exports, which arrive in the same export round as their telemetry.
+
+Every alarm firing, alarm clear and violation lands on one signal log.
 """
 
 from __future__ import annotations
@@ -26,11 +31,15 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..overlog import Program, parse
+from ..overlog.eval import StepResult
 from ..sim.node import OverlogProcess
-from .alerts import DEFAULT_ALERT_PACKS
 
 TELEMETRY_RELATION = "telemetry"
 ALARM_RELATION = "alarm"
+
+#: The kinds on the monitor's signal log: an alarm row inserted, an
+#: alarm row deleted by its pack's delete rule, a violation derived.
+ALARM, CLEAR, VIOLATION = ALARM_RELATION, "clear", "invariant_violation"
 
 MONITOR_PROGRAM = """
 program telemetry_monitor;
@@ -78,83 +87,104 @@ m6 rollup_percentile(Metric, N, P50, P99, P999) :-
 /* cardinality sketches union register-wise */
 m7 rollup_distinct(Metric, count_distinct_approx<D>) :-
         metric_sample(Node, Metric, "distinct", D, _);
+
+/* cluster-invariant packs derive these (name, subject) events */
+event(invariant_violation, 2);
+
+/* every node's state export (repro.monitoring.global_invariants) */
+/* Paxos: node, instance, value; and node, ballot, applied, clock (one
+   cursor row per round, kept so high-water marks survive) */
+define(px_state, keys(0, 1), {Str, Int, Any});
+define(px_cursor, keys(0, 3), {Str, Int, Int, Int});
+/* BOOM-FS master: round marker, replication factor, location beliefs
+   (master, chunk, datanode, round), referenced chunks (master, chunk,
+   round) and, for a shard, owned file paths (scope, master, path,
+   round) */
+define(fs_round, keys(0, 1), {Str, Int});
+define(fs_rf, keys(0), {Str, Int});
+define(fs_loc, keys(0, 1, 2, 3), {Str, Str, Str, Int});
+define(fs_chunk, keys(0, 1, 2), {Str, Str, Int});
+define(fs_owner, keys(0, 1, 2, 3), {Str, Str, Str, Int});
+/* DataNode: round marker and actual inventory (datanode, chunk, round) */
+define(dn_round, keys(0, 1), {Str, Int});
+define(dn_chunk, keys(0, 1, 2), {Str, Str, Int});
+
+/* the last-two-round window over each master's and DataNode's rounds */
+define(fs_cur, keys(0), {Str, Int});
+define(fs_prev, keys(0), {Str, Int});
+define(dn_cur, keys(0), {Str, Int});
+define(dn_prev, keys(0), {Str, Int});
+
+gw1 fs_cur(M, max<R>) :- fs_round(M, R);
+gw2 fs_prev(M, max<R>) :- fs_round(M, R), fs_cur(M, Cur), R < Cur;
+gw3 dn_cur(D, max<R>) :- dn_round(D, R);
+gw4 dn_prev(D, max<R>) :- dn_round(D, R), dn_cur(D, Cur), R < Cur;
+
+/* bulk state below the window is pruned (round markers stay) */
+gw5 delete fs_loc(M, C, D, R) :-
+        fs_loc(M, C, D, R), fs_prev(M, P), R < P;
+gw6 delete fs_chunk(M, C, R) :-
+        fs_chunk(M, C, R), fs_prev(M, P), R < P;
+gw7 delete fs_owner(S, M, Path, R) :-
+        fs_owner(S, M, Path, R), fs_prev(M, P), R < P;
+gw8 delete dn_chunk(D, C, R) :-
+        dn_chunk(D, C, R), dn_prev(D, P), R < P;
 """
 
 
-def monitor_program(
-    alert_packs: Iterable[str] = DEFAULT_ALERT_PACKS,
-    extra_source: Optional[str] = None,
-) -> Program:
-    """The monitor's program: core rollup rules plus alert rule packs
-    (each pack is plain Overlog source — deployments add their own)."""
+def monitor_program(packs: Optional[Iterable[str]] = None) -> Program:
+    """The monitor's program: the core (rollups, export declarations,
+    round window) plus rule packs, each plain Overlog source.  The
+    default holds every alert and cluster-invariant pack."""
+    if packs is None:
+        from ..monitoring.global_invariants import DEFAULT_PACKS
+
+        packs = DEFAULT_PACKS
     program = parse(MONITOR_PROGRAM)
-    for pack in alert_packs:
+    for pack in packs:
         program = program.merged(parse(pack))
-    if extra_source:
-        program = program.merged(parse(extra_source))
     return program
 
 
 class MonitorProcess(OverlogProcess):
-    """The node the cluster's telemetry streams converge on.
+    """The node the cluster's export rounds converge on.
 
-    Provenance defaults on: arriving ``telemetry`` tuples are recorded
-    as EDB inputs in the derivation ledger, so
-    ``cluster.why(monitor, "alarm", row)`` resolves an alarm down to the
-    exact per-node metric samples that fired it.
+    Provenance defaults on: arriving ``telemetry`` and state-export
+    tuples are recorded as EDB inputs in the derivation ledger, so
+    ``cluster.why(monitor, "alarm", row)`` resolves an alarm (and
+    ``"invariant_violation"`` a violation) down to the exact per-node
+    exports that fired it.
     """
 
     def __init__(
         self,
         address: str = "monitor",
-        alert_packs: Iterable[str] = DEFAULT_ALERT_PACKS,
-        extra_source: Optional[str] = None,
+        packs: Optional[Iterable[str]] = None,
         seed: int = 0,
         provenance: bool = True,
     ):
         super().__init__(
-            address,
-            monitor_program(alert_packs, extra_source),
-            seed=seed,
-            provenance=provenance,
+            address, monitor_program(packs), seed=seed, provenance=provenance
         )
-        #: Every alarm firing, in arrival order: (virtual ms, alarm row).
-        self.alert_log: list[tuple[int, tuple]] = []
-        #: Every cluster-invariant violation firing (requires the
-        #: global_invariants packs — see Cluster.enable_invariants).
-        self.violation_log: list[tuple[int, tuple]] = []
+        #: Every signal in step order: (virtual ms, kind, row), kind one
+        #: of ALARM, CLEAR, VIOLATION.
+        self.signal_log: list[tuple[int, str, tuple]] = []
 
-    def bootstrap(self) -> None:
-        self.runtime.watch(ALARM_RELATION, self._on_alarm)
-        # Only monitors built with the global-invariant packs declare
-        # the violation relation; plain telemetry monitors skip the hook.
-        from ..monitoring.invariants import VIOLATION_RELATION
-
-        if self.runtime.catalog.is_declared(VIOLATION_RELATION):
-            self.runtime.watch(VIOLATION_RELATION, self._on_violation)
-
-    def _on_alarm(self, row: tuple) -> None:
-        self.alert_log.append((self.now, row))
-        # Alarms trigger the flight recorder's post-mortem dump (when one
-        # is armed with dump_on=("alarm", ...)): the ring's recent
-        # envelopes and span events are exactly the evidence an operator
-        # wants next to a fresh alarm.
+    def handle_step_result(self, result: StepResult) -> None:
+        signals = [(ALARM, row) for row in result.fired_rows(ALARM_RELATION)]
+        signals += [(VIOLATION, row) for row in result.fired_rows(VIOLATION)]
+        # A delete rule's deletion is a clear; a primary-key displacement
+        # (a new detail for a live alarm) never reaches result.deletions.
+        signals += [
+            (CLEAR, row)
+            for relation, row in result.deletions
+            if relation == ALARM_RELATION
+        ]
         recorder = getattr(self.cluster, "flight_recorder", None)
-        if recorder is not None:
-            recorder.on_alarm(
-                str(self.address), str(row[0]), subject=str(row[1])
-            )
-
-    def _on_violation(self, row: tuple) -> None:
-        self.violation_log.append((self.now, row))
-        # A cluster-invariant firing is at least as dump-worthy as an
-        # alarm; the recorder dedupes per (node, name, subject) so a
-        # violation that re-derives every export round dumps only once.
-        recorder = getattr(self.cluster, "flight_recorder", None)
-        if recorder is not None:
-            recorder.on_violation(
-                str(self.address), str(row[0]), subject=str(row[1])
-            )
+        for kind, row in signals:
+            self.signal_log.append((self.now, kind, row))
+            if recorder is not None:
+                recorder.on_signal(str(self.address), kind, row)
 
     def set_slo(self, metric: str, p99_ms: float) -> None:
         """Install a p99 latency SLO for ``metric``: the LATENCY_ALERTS
@@ -190,20 +220,12 @@ class MonitorProcess(OverlogProcess):
     def rollup_distincts(self) -> dict[str, int]:
         return dict(sorted(self.runtime.rows("rollup_distinct")))
 
-    def why_alarm(self, row: tuple, fmt: str = "text"):
-        """Derivation DAG of one alarm: the operator's ``why()``."""
-        return self.runtime.why(ALARM_RELATION, row, fmt=fmt)
-
     def violations(self) -> list[tuple]:
         """Distinct invariant-violation rows fired so far, sorted."""
-        return sorted({row for _ms, row in self.violation_log}, key=repr)
-
-    def why_violation(self, row: tuple, fmt: str = "text"):
-        """Derivation DAG of one cluster-invariant violation, down to
-        the per-node state exports that fired it."""
-        from ..monitoring.invariants import VIOLATION_RELATION
-
-        return self.runtime.why(VIOLATION_RELATION, row, fmt=fmt)
+        return sorted(
+            {row for _ms, kind, row in self.signal_log if kind == VIOLATION},
+            key=repr,
+        )
 
     def dashboard(self) -> str:
         from .export import render_telemetry_dashboard
@@ -214,9 +236,12 @@ class MonitorProcess(OverlogProcess):
 
 
 __all__ = [
+    "ALARM",
     "ALARM_RELATION",
+    "CLEAR",
     "MONITOR_PROGRAM",
     "MonitorProcess",
     "TELEMETRY_RELATION",
+    "VIOLATION",
     "monitor_program",
 ]

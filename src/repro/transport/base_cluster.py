@@ -44,14 +44,9 @@ class BaseCluster:
         transport.tracer = self.tracer
         transport.metrics = self.metrics.adopt(MetricsRegistry("transport"))
         self.processes: dict[Address, "Process"] = {}
-        # Telemetry plane (docs/TELEMETRY.md): set by enable_telemetry;
-        # holds (monitor address, interval, transport/trace export flags)
-        # so late-added and restarted nodes get wired automatically.
-        self._telemetry: Optional[dict] = None
-        # Cluster-scoped invariants (docs/OBSERVABILITY.md): set by
-        # enable_invariants; every node ships state exports to the
-        # monitor, whose Overlog joins them across nodes.
-        self._invariants: Optional[dict] = None
+        # The monitor plane (docs/TELEMETRY.md): set by enable_monitor;
+        # holds the monitor address and the cluster-owned export flags.
+        self._monitor: Optional[dict] = None
         # Flight recorder (docs/OBSERVABILITY.md): set by
         # enable_flight_recorder; dumps per-node post-mortems on crash.
         self.flight_recorder = None
@@ -68,8 +63,6 @@ class BaseCluster:
         )
         with process.sending():
             process.start()
-        self._wire_telemetry(process)
-        self._wire_state_export(process)
         return process
 
     def get(self, address: Address) -> "Process":
@@ -127,11 +120,6 @@ class BaseCluster:
         )
         with process.sending():
             process.start()
-        # A crash kills the node's telemetry and state-export timer
-        # chains with the rest of its volatile state; re-arm them like
-        # any other bootstrap.
-        self._wire_telemetry(process)
-        self._wire_state_export(process)
         on_restart = getattr(process, "on_restart", None)
         if on_restart is not None:
             on_restart()
@@ -250,84 +238,73 @@ class BaseCluster:
         self.tracer.add_listener(recorder.on_trace_event)
         return recorder
 
-    # -- telemetry plane (docs/TELEMETRY.md) -----------------------------------
+    # -- the monitor plane (docs/TELEMETRY.md) ---------------------------------
 
-    def enable_telemetry(
+    def enable_monitor(
         self,
         monitor: Address = "monitor",
         interval_ms: Optional[int] = 1000,
         include_transport: bool = True,
         include_traces: bool = True,
         per_op_latency: bool = False,
-        alert_packs: Optional[Iterable[str]] = None,
-        extra_source: Optional[str] = None,
+        packs: Optional[Iterable[str]] = None,
     ):
-        """Turn the telemetry plane on: every node (current and future)
-        ships its registry to ``monitor`` as ``telemetry`` tuples every
-        ``interval_ms``; a :class:`~repro.telemetry.monitor.MonitorProcess`
-        is created at that address unless one is already a member.
+        """Arm the monitor plane: every ``interval_ms`` the cluster runs
+        one export round (:meth:`publish_round`), in which every live
+        node, present or added later, ships its registry and state
+        export to ``monitor``.  A
+        :class:`~repro.telemetry.monitor.MonitorProcess` running
+        ``packs`` (default: every alert and invariant pack) is created
+        at that address unless one is already a member.
 
         ``include_transport`` also exports the transport-scope registry
-        (backpressure stalls, envelope counters) — it has no owning node,
-        so the cluster injects it at the monitor directly.
-        ``include_traces`` folds PR 1 trace spans into an end-to-end
-        ``request.latency_ms`` percentile payload the same way;
-        ``per_op_latency`` additionally publishes one digest per
-        operation type (keyed by the first token of each trace's name),
-        feeding the per-op p99 SLO alert pack.
-        ``interval_ms=None`` arms no timers: tests drive deterministic
-        rounds via ``publish_telemetry(clock=...)`` themselves.
+        (backpressure stalls, envelope counters) and ``include_traces``
+        folds the tracer's spans into a ``request.latency_ms`` digest;
+        neither has an owning node, so the cluster injects them at the
+        monitor.  ``per_op_latency`` additionally publishes one digest
+        per operation type (the first token of each trace's name),
+        feeding the per-op p99 SLO alert pack.  ``interval_ms=None``
+        arms no timer: tests drive rounds with ``publish_round(clock)``.
         """
-        from ..telemetry.alerts import DEFAULT_ALERT_PACKS
+        if interval_ms is not None and interval_ms <= 0:
+            raise ValueError(
+                f"interval_ms must be positive or None, not {interval_ms}"
+            )
         from ..telemetry.monitor import MonitorProcess
 
-        packs = DEFAULT_ALERT_PACKS if alert_packs is None else tuple(alert_packs)
         if monitor not in self.processes:
-            self.add(
-                MonitorProcess(
-                    monitor, alert_packs=packs, extra_source=extra_source
-                )
-            )
-        self._telemetry = {
+            self.add(MonitorProcess(monitor, packs=packs))
+        cfg = self._monitor = {
             "monitor": monitor,
-            "interval_ms": interval_ms,
             "include_transport": include_transport,
             "include_traces": include_traces,
             "per_op_latency": per_op_latency,
         }
-        for process in list(self.processes.values()):
-            self._wire_telemetry(process)
-        if interval_ms is not None and (include_transport or include_traces):
-            self.schedule(interval_ms, self._cluster_telemetry_tick)
+        if interval_ms is not None:
+
+            def tick() -> None:
+                if self._monitor is cfg:  # not superseded by a re-arm
+                    self.publish_round()
+                    self.schedule(interval_ms, tick)
+
+            self.schedule(interval_ms, tick)
         return self.processes[monitor]
 
-    def _wire_telemetry(self, process: "Process") -> None:
-        cfg = self._telemetry
-        if cfg is None or process.address == cfg["monitor"]:
-            return
-        process.enable_telemetry(cfg["monitor"], cfg["interval_ms"])
-
-    def _cluster_telemetry_tick(self) -> None:
-        cfg = self._telemetry
-        if cfg is None or cfg["interval_ms"] is None:
-            return
-        self.publish_cluster_telemetry()
-        self.schedule(cfg["interval_ms"], self._cluster_telemetry_tick)
-
-    def publish_cluster_telemetry(self, clock: Optional[int] = None) -> int:
-        """Export the cluster-owned telemetry sources — the transport
-        registry and the trace-latency fold — by injecting at the
-        monitor (neither has an owning process to send from).  Returns
-        the tuple count."""
-        cfg = self._telemetry
-        if cfg is None:
+    def publish_round(self, clock: Optional[int] = None) -> int:
+        """Run one export round: each live node but the monitor ships
+        one envelope (:meth:`~repro.sim.node.Process.publish`), then the
+        cluster injects the transport registry and the trace-latency
+        fold at the monitor.  Returns the tuple count."""
+        monitor = self.monitor
+        if monitor is None:
             return 0
-        monitor = self.processes.get(cfg["monitor"])
-        if monitor is None or monitor.crashed:
-            return 0
+        clock = self.now if clock is None else clock
+        total = sum(p.publish(clock) for p in list(self.processes.values()))
+        if monitor.crashed:
+            return total
         from ..telemetry.export import telemetry_rows, trace_latency_rows
 
-        clock = self.now if clock is None else clock
+        cfg = self._monitor
         rows: list[tuple] = []
         if cfg["include_transport"]:
             registry = self.metrics.registries.get("transport")
@@ -338,92 +315,17 @@ class BaseCluster:
         if cfg["include_traces"]:
             rows.extend(
                 trace_latency_rows(
-                    self.tracer,
-                    clock=clock,
-                    per_op=cfg.get("per_op_latency", False),
+                    self.tracer, clock=clock, per_op=cfg["per_op_latency"]
                 )
             )
         for row in rows:
             monitor.inject("telemetry", row)
-        return len(rows)
-
-    # -- cluster-scoped invariants (docs/OBSERVABILITY.md) ---------------------
-
-    def enable_invariants(
-        self,
-        packs: Optional[Iterable[str]] = None,
-        monitor: Address = "monitor",
-        interval_ms: Optional[int] = 1000,
-    ):
-        """Turn cluster-scoped invariant checking on: every node
-        (current and future) ships its :meth:`~repro.sim.node.Process.
-        state_export_rows` snapshot to ``monitor`` every ``interval_ms``,
-        where the :mod:`~repro.monitoring.global_invariants` packs join
-        the exports across nodes and derive ``invariant_violation``
-        events (recorded on the monitor's ``violation_log``, explained
-        by ``why_violation()``, dumped by a flight recorder armed with
-        ``dump_on=("violation", ...)``).
-
-        The monitor's rule set is fixed at construction, so call this
-        *before* ``enable_telemetry`` (this creates the monitor process
-        with both the invariant packs and the default alert packs; a
-        later ``enable_telemetry`` on the same address reuses it).  If
-        a monitor already exists, its program must already declare
-        ``invariant_violation`` — e.g. built with
-        ``extra_source=global_invariants_source()`` — else this raises.
-
-        ``interval_ms=None`` arms no timers: deterministic tests drive
-        explicit rounds via ``publish_state(clock=...)`` themselves.
-        """
-        from ..monitoring.global_invariants import global_invariants_source
-        from ..telemetry.monitor import MonitorProcess
-
-        if monitor not in self.processes:
-            self.add(
-                MonitorProcess(
-                    monitor, extra_source=global_invariants_source(packs)
-                )
-            )
-        else:
-            runtime = getattr(self.processes[monitor], "runtime", None)
-            declared = runtime is not None and runtime.catalog.is_declared(
-                "invariant_violation"
-            )
-            if not declared:
-                raise RuntimeError(
-                    f"process {monitor!r} exists but its program has no "
-                    "invariant_violation relation; call enable_invariants "
-                    "before enable_telemetry, or build the monitor with "
-                    "extra_source=global_invariants_source()"
-                )
-        self._invariants = {"monitor": monitor, "interval_ms": interval_ms}
-        for process in list(self.processes.values()):
-            self._wire_state_export(process)
-        return self.processes[monitor]
-
-    def _wire_state_export(self, process: "Process") -> None:
-        cfg = self._invariants
-        if cfg is None or process.address == cfg["monitor"]:
-            return
-        process.enable_state_export(cfg["monitor"], cfg["interval_ms"])
-
-    def publish_cluster_state(self, clock: Optional[int] = None) -> int:
-        """Drive one explicit state-export round on every live node
-        (deterministic tests use this with ``interval_ms=None``).
-        Returns the total tuple count shipped."""
-        if self._invariants is None:
-            return 0
-        clock = self.now if clock is None else clock
-        total = 0
-        for process in list(self.processes.values()):
-            total += process.publish_state(clock=clock)
-        return total
+        return total + len(rows)
 
     @property
     def monitor(self):
-        """The telemetry/invariant monitor process, if either plane is
-        enabled."""
-        cfg = self._telemetry or self._invariants
+        """The monitor process, once :meth:`enable_monitor` armed it."""
+        cfg = self._monitor
         return self.processes.get(cfg["monitor"]) if cfg else None
 
     def telemetry_dashboard(self) -> str:
@@ -431,7 +333,7 @@ class BaseCluster:
         per-node reporting status (deterministic text)."""
         monitor = self.monitor
         if monitor is None:
-            return "(telemetry disabled — call enable_telemetry first)"
+            return "(telemetry disabled — call enable_monitor first)"
         from ..telemetry.export import render_telemetry_dashboard
 
         return render_telemetry_dashboard(monitor, now_ms=self.now)
@@ -439,7 +341,7 @@ class BaseCluster:
     def export_telemetry_jsonl(self, path):
         monitor = self.monitor
         if monitor is None:
-            raise RuntimeError("telemetry disabled — call enable_telemetry")
+            raise RuntimeError("telemetry disabled — call enable_monitor")
         from ..telemetry.export import write_telemetry_jsonl
 
         return write_telemetry_jsonl(monitor, path, now_ms=self.now)

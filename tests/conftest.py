@@ -35,7 +35,6 @@ def deployments() -> dict:
     """Every program a shipped node runs, by deployment name."""
     from repro.boomfs import master_program
     from repro.mapreduce.jobtracker import POLICIES, scheduler_program
-    from repro.monitoring import global_invariants_source
     from repro.paxos import paxos_program, replicated_master_program
     from repro.telemetry import monitor_program
 
@@ -43,7 +42,7 @@ def deployments() -> dict:
         "master": master_program(),
         "paxos": paxos_program(),
         "replicated master": replicated_master_program(),
-        "monitor": monitor_program(extra_source=global_invariants_source()),
+        "monitor": monitor_program(),
     }
     for policy in POLICIES:
         programs[f"jobtracker ({policy})"] = scheduler_program(policy)

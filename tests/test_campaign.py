@@ -30,9 +30,12 @@ TINY = dict(
 
 class TestAlarmEpisodes:
     def test_repeated_firings_fold_into_one_episode(self):
-        log = [(1000, ("a", "s", 1)), (1500, ("a", "s", 2))]
-        eps = alarm_episodes(log, clears=[(2500, ("a", "s"))])
-        assert eps == [
+        log = [
+            (1000, "alarm", ("a", "s", 1)),
+            (1500, "alarm", ("a", "s", 2)),
+            (2500, "clear", ("a", "s", 2)),
+        ]
+        assert alarm_episodes(log) == [
             {
                 "name": "a",
                 "subject": "s",
@@ -43,34 +46,43 @@ class TestAlarmEpisodes:
         ]
 
     def test_refiring_after_clear_opens_new_episode(self):
-        log = [(1000, ("a", "s", 1)), (4000, ("a", "s", 2))]
-        eps = alarm_episodes(log, clears=[(2000, ("a", "s"))])
-        assert [(e["start_ms"], e["clear_ms"]) for e in eps] == [
+        log = [
+            (1000, "alarm", ("a", "s", 1)),
+            (2000, "clear", ("a", "s", 1)),
+            (4000, "alarm", ("a", "s", 2)),
+        ]
+        assert [(e["start_ms"], e["clear_ms"]) for e in alarm_episodes(log)] == [
             (1000, 2000),
             (4000, None),
         ]
 
     def test_unmatched_clear_keys_are_ignored(self):
-        log = [(1000, ("a", "s", 1))]
-        eps = alarm_episodes(log, clears=[(2000, ("other", "s"))])
+        log = [
+            (1000, "alarm", ("a", "s", 1)),
+            (2000, "clear", ("other", "s", 1)),
+            (2500, "invariant_violation", ("a", "s")),
+        ]
+        eps = alarm_episodes(log)
+        assert len(eps) == 1
         assert eps[0]["clear_ms"] is None
 
 
 class TestViolationEpisodes:
     def test_contiguous_firings_are_one_episode_with_clear(self):
-        log = [(1000, ("v", "s")), (1500, ("v", "s")), (2000, ("v", "s"))]
+        log = [(ms, "invariant_violation", ("v", "s")) for ms in (1000, 1500, 2000)]
         eps = violation_episodes(log, end_ms=10_000, round_ms=500)
         assert eps == [
             {"name": "v", "subject": "s", "start_ms": 1000, "clear_ms": 2500}
         ]
 
     def test_wide_gap_splits_runs(self):
-        log = [(1000, ("v", "s")), (5000, ("v", "s"))]
+        log = [(ms, "invariant_violation", ("v", "s")) for ms in (1000, 5000)]
+        log.append((3000, "alarm", ("v", "s", 1)))  # not a violation
         eps = violation_episodes(log, end_ms=20_000, round_ms=500)
         assert [e["start_ms"] for e in eps] == [1000, 5000]
 
     def test_episode_live_at_end_is_censored(self):
-        log = [(1000, ("v", "s")), (1500, ("v", "s"))]
+        log = [(ms, "invariant_violation", ("v", "s")) for ms in (1000, 1500)]
         eps = violation_episodes(log, end_ms=2000, round_ms=500)
         assert eps[0]["clear_ms"] is None
 

@@ -3,7 +3,7 @@
 Covers the global_invariants packs end-to-end on the simulator (state
 exports -> monitor joins -> invariant_violation events -> provenance),
 the monitor-side Paxos rules via direct injection, shard disjointness
-over partitioned masters, state-export re-arming across restarts, and
+over partitioned masters, export rounds reaching restarted nodes, and
 the asyncio-backend InvariantMonitor crash/restart regression.
 """
 
@@ -11,8 +11,7 @@ import pytest
 
 from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode
 from repro.boomfs.partition import PartitionedFSClient, partitioned_master
-from repro.monitoring import global_invariants_source
-from repro.overlog import parse
+from repro.telemetry import monitor_program
 from repro.paxos import ReplicatedFSClient, ReplicatedMaster
 from repro.sim import Cluster
 
@@ -43,31 +42,29 @@ def _fs_cluster(seed=3, datanodes=3, replication=2, replicas=1):
 
 
 def _round(cluster, clock):
-    cluster.publish_cluster_state(clock=clock)
+    cluster.publish_round(clock=clock)
     cluster.run_for(80)
 
 
 class TestPackSource:
     def test_fused_source_parses_as_one_program(self):
-        program = parse(global_invariants_source())
-        assert program.name == "global_invariants"
-        names = {r.name for r in program.rules}
-        assert {"gw1", "gp1", "gb6", "gs2"} <= names
+        names = {r.name for r in monitor_program().rules}
+        assert {"m1", "fsa1", "gw1", "gp1", "gb3", "gs1"} <= names
 
     def test_pack_subset_selectable(self):
         from repro.monitoring import GLOBAL_PAXOS_INVARIANTS
 
-        program = parse(global_invariants_source([GLOBAL_PAXOS_INVARIANTS]))
-        names = {r.name for r in program.rules}
-        assert "gp1" in names
-        assert "gb6" not in names
+        names = {r.name for r in monitor_program([GLOBAL_PAXOS_INVARIANTS]).rules}
+        assert {"m1", "gw1", "gp1"} <= names  # the core is always there
+        assert "gb3" not in names
+        assert "fsa1" not in names
 
 
 class TestChunkAgreement:
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_clean_rounds_are_silent(self, replicas):
         cluster = _fs_cluster(replicas=replicas)
-        monitor = cluster.enable_invariants(interval_ms=None)
+        monitor = cluster.enable_monitor(interval_ms=None)
         for clock in (1, 2, 3):
             _round(cluster, clock)
         assert monitor.violations() == []
@@ -87,7 +84,7 @@ class TestChunkAgreement:
 
     def test_amnesiac_datanode_detected(self):
         cluster = _fs_cluster()
-        monitor = cluster.enable_invariants(interval_ms=None)
+        monitor = cluster.enable_monitor(interval_ms=None)
         _round(cluster, 1)
         _round(cluster, 2)
         self._wipe_a_replica(cluster)
@@ -100,16 +97,16 @@ class TestChunkAgreement:
         # One post-wipe round is in-flight-ambiguous; the rule must wait
         # for the second consecutive disagreeing round.
         cluster = _fs_cluster()
-        monitor = cluster.enable_invariants(interval_ms=None)
+        monitor = cluster.enable_monitor(interval_ms=None)
         _round(cluster, 1)
         _round(cluster, 2)
         self._wipe_a_replica(cluster)
         _round(cluster, 3)
         assert monitor.violations() == []
 
-    def test_why_violation_reaches_state_exports(self):
+    def test_why_reaches_state_exports(self):
         cluster = _fs_cluster()
-        monitor = cluster.enable_invariants(interval_ms=None)
+        monitor = cluster.enable_monitor(interval_ms=None)
         _round(cluster, 1)
         _round(cluster, 2)
         self._wipe_a_replica(cluster)
@@ -118,8 +115,8 @@ class TestChunkAgreement:
         row = next(
             r for r in monitor.violations() if r[0] == "chunk-agreement"
         )
-        why = monitor.why_violation(row)
-        assert "gb6" in why
+        why = cluster.why("monitor", "invariant_violation", row)
+        assert "gb3" in why
         assert "fs_loc" in why
 
     def test_chunk_unhosted_when_all_replicas_die(self):
@@ -129,7 +126,7 @@ class TestChunkAgreement:
         # either, so the chunk must surface as unhosted for two
         # consecutive rounds.
         cluster = _fs_cluster()
-        monitor = cluster.enable_invariants(interval_ms=None)
+        monitor = cluster.enable_monitor(interval_ms=None)
         _round(cluster, 1)
         _round(cluster, 2)
         holders = [
@@ -155,7 +152,7 @@ class TestPaxosGlobalInvariants:
 
     def _monitor(self):
         cluster = Cluster(seed=1)
-        monitor = cluster.enable_invariants(interval_ms=None)
+        monitor = cluster.enable_monitor(interval_ms=None)
         return cluster, monitor
 
     def test_paxos_agreement_fires_on_conflicting_logs(self):
@@ -209,7 +206,7 @@ class TestShardDisjointness:
         )
         client.create("/a.txt")
         cluster.run_for(1000)
-        monitor = cluster.enable_invariants(interval_ms=None)
+        monitor = cluster.enable_monitor(interval_ms=None)
         _round(cluster, 1)
         _round(cluster, 2)
         return cluster, monitor
@@ -230,7 +227,7 @@ class TestShardDisjointness:
 class TestStateExportLifecycle:
     def test_restart_rearms_state_export(self):
         cluster = _fs_cluster()
-        monitor = cluster.enable_invariants(interval_ms=500)
+        monitor = cluster.enable_monitor(interval_ms=500)
         cluster.run_for(1200)
         crash_at = cluster.now
         cluster.crash("dn0")
@@ -246,16 +243,10 @@ class TestStateExportLifecycle:
 
     def test_monitor_itself_exports_nothing(self):
         cluster = _fs_cluster()
-        monitor = cluster.enable_invariants(interval_ms=None)
-        shipped = cluster.publish_cluster_state(clock=1)
+        monitor = cluster.enable_monitor(interval_ms=None)
+        shipped = cluster.publish_round(clock=1)
         assert shipped > 0
-        assert monitor.publish_state(clock=1) == 0
-
-    def test_enable_after_telemetry_without_packs_raises(self):
-        cluster = Cluster(seed=0)
-        cluster.enable_telemetry(interval_ms=None)
-        with pytest.raises(RuntimeError, match="enable_invariants"):
-            cluster.enable_invariants(interval_ms=None)
+        assert monitor.publish(clock=1) == 0
 
 
 class TestAsyncInvariantMonitor:

@@ -4,6 +4,8 @@ flight recorder (docs/OBSERVABILITY.md)."""
 
 import json
 
+import pytest
+
 from repro.boomfs.client import BoomFSClient
 from repro.boomfs.datanode import DataNode
 from repro.boomfs.master import BoomFSMaster
@@ -258,14 +260,14 @@ class TestPerOpLatencyTelemetry:
     def test_slo_burn_alarm_fires_and_dumps(self):
         cluster, client = _fs_cluster(seed=6)
         recorder = cluster.enable_flight_recorder(dump_on=("alarm",))
-        monitor = cluster.enable_telemetry(
+        monitor = cluster.enable_monitor(
             interval_ms=None, per_op_latency=True
         )
         monitor.set_slo("request.latency_ms.mkdir", 0.5)
         cluster.run_for(50)
         client.start_trace("mkdir /slow")
         client.mkdir("/slow")  # takes >= 1 virtual ms round trip
-        cluster.publish_cluster_telemetry(clock=1)
+        cluster.publish_round(clock=1)
         cluster.run_for(200)
         alarms = monitor.alarms()
         assert any(
@@ -280,13 +282,13 @@ class TestPerOpLatencyTelemetry:
 
     def test_slo_within_limit_stays_quiet(self):
         cluster, client = _fs_cluster(seed=6)
-        monitor = cluster.enable_telemetry(
+        monitor = cluster.enable_monitor(
             interval_ms=None, per_op_latency=True
         )
         monitor.set_slo("request.latency_ms.mkdir", 10_000.0)
         client.start_trace("mkdir /fast")
         client.mkdir("/fast")
-        cluster.publish_cluster_telemetry(clock=1)
+        cluster.publish_round(clock=1)
         cluster.run_for(200)
         assert not any(
             name == "p99-slo-burn" for name, *_rest in monitor.alarms()
@@ -357,6 +359,14 @@ class TestFlightRecorder:
         assert recorder.dumps[0][2] is None  # no file written
         assert json.loads(text.splitlines()[0])["reason"] == "manual"
 
+    def test_unknown_dump_reason_is_refused(self):
+        # A misspelt trigger would otherwise never dump.
+        with pytest.raises(ValueError, match="crash, alarm, violation"):
+            FlightRecorder(dump_on=("crash", "violations"))
+        assert FlightRecorder(dump_on=iter(("violation",))).dump_on == (
+            "violation",
+        )
+
 
 # -- crash/restart survival on the asyncio backend (satellite) -----------------
 
@@ -390,7 +400,7 @@ class TestAsyncCrashRestartObservability:
     def test_telemetry_loop_survives_restart(self):
         with AsyncCluster(time_scale=SCALE) as cluster:
             cluster.add(BoomFSMaster("master", replication=1))
-            monitor = cluster.enable_telemetry(interval_ms=200)
+            monitor = cluster.enable_monitor(interval_ms=200)
             # At 20x real time the first samples can trail the first
             # steps' code generation: wait for one rather than a fixed 600
             # virtual ms.
@@ -412,8 +422,9 @@ class TestAsyncCrashRestartObservability:
             cluster.run_for(400)
             high_water = latest()
             cluster.restart("master")
-            # Export loop re-armed: a newer sample arrives (waited on, like
-            # the first one, so a host pause cannot outlast a fixed window).
+            # Export rounds reach the restarted node: a newer sample
+            # arrives (waited on, like the first one, so a host pause
+            # cannot outlast a fixed window).
             assert cluster.run_until(
                 lambda: latest() > high_water, cluster.now + 5_000
             )

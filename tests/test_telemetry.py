@@ -4,9 +4,9 @@ a monitor node whose rollup and health logic is itself Overlog.
 Covers the wire serializer (registry -> ``telemetry`` tuples), the new
 sketch aggregates under both evaluator paths, the monitor's rollups, all
 three stock alert packs firing *and* clearing, alarm provenance down to
-the emitting node's telemetry tuple, the periodic export loop (including
-re-arming across crash/restart), and the deterministic dashboard/JSONL
-exports.
+the emitting node's telemetry tuple, the cluster's export round (one
+envelope per node per round, nodes added late or restarted included),
+the monitor's signal log, and the deterministic dashboard/JSONL exports.
 """
 
 import enum
@@ -18,7 +18,7 @@ from repro.boomfs import BoomFSClient, BoomFSMaster, DataNode
 from repro.boomfs.client import FSSession
 from repro.metrics import MetricsRegistry
 from repro.overlog import EvaluationError, OverlogRuntime, parse
-from repro.paxos import ReplicatedFSClient, ReplicatedMaster
+from repro.paxos import PaxosReplica, ReplicatedFSClient, ReplicatedMaster
 from repro.sim import Cluster, LatencyModel, Process
 from repro.sketches import (
     HyperLogLog,
@@ -27,7 +27,9 @@ from repro.sketches import (
     is_tdigest_payload,
 )
 from repro.telemetry import (
+    ALARM,
     BOOMFS_ALERTS,
+    CLEAR,
     PAXOS_ALERTS,
     TRANSPORT_ALERTS,
     MonitorProcess,
@@ -412,13 +414,33 @@ class TestAlertPacks:
             [("master", "fs.chunks.under_replicated", "gauge", 3, 1)],
         )
         assert monitor.alarms() == [("under-replicated", "master", 3)]
-        assert monitor.alert_log  # firing was journalled
         _feed(
             cluster,
             monitor,
             [("master", "fs.chunks.under_replicated", "gauge", 0, 2)],
         )
         assert monitor.alarms() == []
+        # Both transitions were journalled, in order.
+        assert [(kind, row) for _ms, kind, row in monitor.signal_log] == [
+            (ALARM, ("under-replicated", "master", 3)),
+            (CLEAR, ("under-replicated", "master", 3)),
+        ]
+
+    def test_new_detail_is_no_clear(self):
+        # A live alarm re-derived with a new detail displaces its row by
+        # primary key: a second firing, not a clear.
+        cluster, monitor = _monitor_cluster()
+        for clock, n in ((1, 3), (2, 1)):
+            _feed(
+                cluster,
+                monitor,
+                [("master", "fs.chunks.under_replicated", "gauge", n, clock)],
+            )
+        assert [kind for _ms, kind, _row in monitor.signal_log] == [
+            ALARM,
+            ALARM,
+        ]
+        assert monitor.alarms() == [("under-replicated", "master", 1)]
 
     def test_paxos_no_leader_fires_and_clears(self):
         cluster, monitor = _monitor_cluster()
@@ -461,14 +483,15 @@ class TestAlertPacks:
         assert alarm[0] == "stalled-link"
         assert alarm[1] == "transport.stalled_link.n1->n2"
 
-    def test_custom_extra_source_alert(self):
+    def test_custom_pack_alert(self):
         cluster, monitor = _monitor_cluster(
-            alert_packs=(),
-            extra_source="""
-            program custom_alerts;
-            x1 alarm("hot", Node, V) :-
-                metric_sample(Node, "temp", "gauge", V, _), V > 90;
-            """,
+            packs=(
+                """
+                program custom_alerts;
+                x1 alarm("hot", Node, V) :-
+                    metric_sample(Node, "temp", "gauge", V, _), V > 90;
+                """,
+            ),
         )
         _feed(cluster, monitor, [("n1", "temp", "gauge", 95, 1)])
         assert monitor.alarms() == [("hot", "n1", 95)]
@@ -479,7 +502,7 @@ class TestAlarmProvenance:
         cluster, monitor = _monitor_cluster()
         row = ("master", "fs.chunks.under_replicated", "gauge", 2, 7)
         _feed(cluster, monitor, [row])
-        text = monitor.why_alarm(("under-replicated", "master", 2))
+        text = cluster.why("monitor", "alarm", ("under-replicated", "master", 2))
         # alarm <- alert rule <- metric_sample <- m1 <- telemetry EDB
         assert "alarm(" in text
         assert "metric_sample(" in text
@@ -525,7 +548,7 @@ class TestClusterTelemetry:
         cluster.add(BoomFSMaster("master", replication=1))
         cluster.add(DataNode("dn1", ["master"]))
         _mkdir_some(cluster)
-        monitor = cluster.enable_telemetry(interval_ms=500)
+        monitor = cluster.enable_monitor(interval_ms=500)
         cluster.run_for(3000)
         nodes = {node for node, *_ in monitor.samples()}
         assert "master" in nodes
@@ -544,7 +567,7 @@ class TestClusterTelemetry:
             cluster = Cluster(latency=LatencyModel(1, 1))
             cluster.add(BoomFSMaster("master", replication=2))
             if telemetry:
-                monitor = cluster.enable_telemetry(interval_ms=100)
+                monitor = cluster.enable_monitor(interval_ms=100)
             driver = run_driver(
                 cluster, LoadDriver(total_ops=600, trace=False)
             )
@@ -569,7 +592,7 @@ class TestClusterTelemetry:
             fs = cluster.add(ReplicatedFSClient("client", masters))
         for i in range(2):
             cluster.add(DataNode(f"dn{i}", masters, heartbeat_ms=300))
-        monitor = cluster.enable_telemetry(interval_ms=500)
+        monitor = cluster.enable_monitor(interval_ms=500)
         cluster.run_for(2000)
         fs.write("/f", b"data")
         cluster.crash("dn1")
@@ -588,7 +611,7 @@ class TestClusterTelemetry:
     def test_export_loop_rearms_after_crash_restart(self):
         cluster = Cluster(seed=0, latency=LatencyModel(1, 2))
         worker = cluster.add(BoomFSMaster("master", replication=1))
-        monitor = cluster.enable_telemetry(interval_ms=200)
+        monitor = cluster.enable_monitor(interval_ms=200)
         cluster.run_for(500)
         assert any(node == "master" for node, *_ in monitor.samples())
         cluster.crash("master")
@@ -608,12 +631,12 @@ class TestClusterTelemetry:
     def test_explicit_publish_without_timers(self):
         cluster = Cluster(seed=0, latency=LatencyModel(1, 2))
         worker = cluster.add(BoomFSMaster("master", replication=1))
-        monitor = cluster.enable_telemetry(
+        monitor = cluster.enable_monitor(
             interval_ms=None, include_transport=False, include_traces=False
         )
         cluster.run_for(200)
         assert monitor.samples() == []  # no timers armed
-        sent = worker.publish_telemetry(clock=1)
+        sent = worker.publish(clock=1)
         assert sent > 0
         cluster.run_for(200)
         assert any(node == "master" for node, *_ in monitor.samples())
@@ -621,8 +644,8 @@ class TestClusterTelemetry:
     def test_dashboard_and_jsonl(self, tmp_path):
         cluster = Cluster(seed=0, latency=LatencyModel(1, 2))
         cluster.add(BoomFSMaster("master", replication=3))
-        monitor = cluster.enable_telemetry(interval_ms=None)
-        cluster.get("master").publish_telemetry(clock=1)
+        monitor = cluster.enable_monitor(interval_ms=None)
+        cluster.get("master").publish(clock=1)
         cluster.run_for(100)
         dash = cluster.telemetry_dashboard()
         assert "== telemetry @" in dash
@@ -648,6 +671,120 @@ class TestClusterTelemetry:
 
     def test_monitor_survives_when_existing_member(self):
         cluster = Cluster(seed=0)
-        mine = cluster.add(MonitorProcess("monitor", alert_packs=()))
-        got = cluster.enable_telemetry(monitor="monitor")
+        mine = cluster.add(MonitorProcess("monitor", packs=()))
+        got = cluster.enable_monitor(monitor="monitor")
         assert got is mine  # reused, not recreated
+
+    @pytest.mark.parametrize("interval_ms", [0, -1])
+    def test_non_positive_interval_is_refused(self, interval_ms):
+        # A zero interval would re-arm the round timer at the same
+        # virtual instant forever; nothing here runs the cluster.
+        cluster = Cluster(seed=0)
+        with pytest.raises(ValueError, match="interval_ms"):
+            cluster.enable_monitor(interval_ms=interval_ms)
+        assert cluster.monitor is None
+
+
+class TestExportRound:
+    def _spy(self, cluster):
+        """(virtual ms, src) of every envelope addressed to the monitor."""
+        sent = []
+        send = cluster.transport.send
+
+        def spy(env):
+            if env.dst == "monitor":
+                sent.append((cluster.now, env.src))
+            send(env)
+
+        cluster.transport.send = spy
+        return sent
+
+    def test_one_envelope_per_node_per_round(self):
+        cluster = Cluster(seed=0, latency=LatencyModel(1, 2))
+        cluster.add(BoomFSMaster("master", replication=2))
+        for name in ("dn0", "dn1"):
+            cluster.add(DataNode(name, ["master"]))
+        sent = self._spy(cluster)
+        cluster.enable_monitor(interval_ms=500)
+        cluster.run_for(1200)
+        cluster.add(DataNode("dn2", ["master"]))  # added between rounds
+        cluster.run_for(1000)
+        cluster.crash("dn0")
+        cluster.run_for(700)
+        cluster.restart("dn0")  # restarted between rounds
+        cluster.run_for(1100)
+        rounds: dict[int, list] = {}
+        for ms, src in sorted(sent):
+            rounds.setdefault(ms, []).append(src)
+        first, all_four = ["dn0", "dn1", "master"], ["dn0", "dn1", "dn2", "master"]
+        assert rounds == {
+            500: first,
+            1000: first,
+            1500: all_four,
+            2000: all_four,
+            2500: ["dn1", "dn2", "master"],  # dn0 is down
+            3000: all_four,
+            3500: all_four,
+            4000: all_four,
+        }
+
+    def test_packs_free_monitor_takes_every_export(self):
+        cluster = Cluster(seed=0, latency=LatencyModel(1, 2))
+        cluster.add(BoomFSMaster("master", replication=1))
+        cluster.add(DataNode("dn0", ["master"]))
+        group = [f"p{i}" for i in range(3)]
+        for address in group:
+            cluster.add(PaxosReplica(address, group))
+        monitor = cluster.add(MonitorProcess("monitor", packs=()))
+        cluster.enable_monitor(interval_ms=None)
+        cluster.run_for(2000)  # DataNode registers, the group elects
+        assert cluster.publish_round(clock=1) > 0
+        cluster.run_for(100)
+        assert {n for n, _c in monitor.runtime.rows("fs_round")} == {"master"}
+        assert {n for n, _c in monitor.runtime.rows("dn_round")} == {"dn0"}
+        cursors = {n for n, *_rest in monitor.runtime.rows("px_cursor")}
+        assert cursors == set(group)
+        assert {n for n, *_rest in monitor.samples()} >= {"master", *group}
+        assert monitor.signal_log == []
+
+    def test_alarm_clear_is_logged_at_the_deleting_step(self):
+        # replication=2 over two DataNodes; crashing one leaves every
+        # chunk under-replicated until a third DataNode joins and the
+        # master re-replicates onto it.
+        cluster = Cluster(seed=0, latency=LatencyModel(1, 2))
+        cluster.add(BoomFSMaster("master", replication=2))
+        fs = cluster.add(BoomFSClient("client", ["master"]))
+        for i in range(2):
+            cluster.add(DataNode(f"dn{i}", ["master"], heartbeat_ms=300))
+        monitor = cluster.enable_monitor(interval_ms=500)
+        steps = []
+        handle = monitor.handle_step_result
+
+        def spy(result):
+            handle(result)
+            steps.append((monitor.now, bool(monitor.alarms())))
+
+        monitor.handle_step_result = spy
+        cluster.run_for(2000)
+        fs.write("/f", b"data")
+        cluster.crash("dn1")
+        cluster.run_for(6000)
+        assert monitor.alarms()
+        cluster.add(DataNode("dn2", ["master"], heartbeat_ms=300))
+        cluster.run_for(6000)
+        assert monitor.alarms() == []
+        clears = [
+            (ms, row)
+            for ms, kind, row in monitor.signal_log
+            if kind == CLEAR
+        ]
+        ((clear_ms, row),) = clears
+        assert row[:2] == ("under-replicated", "master")
+        # The clear carries the time of the step that emptied the alarm
+        # table, and the table stays empty after it.
+        emptied = next(
+            i for i, (_ms, alarmed) in enumerate(steps)
+            if not alarmed and i and steps[i - 1][1]
+        )
+        assert steps[emptied][0] == clear_ms
+        assert not any(alarmed for _ms, alarmed in steps[emptied:])

@@ -21,7 +21,9 @@ from collections import Counter
 
 import pytest
 
+from repro.monitoring import DEFAULT_PACKS
 from repro.sim import Cluster, LatencyModel, Process
+from repro.telemetry import ALARM
 from repro.transport import AsyncCluster
 
 SEEDS = range(20)
@@ -67,17 +69,17 @@ def _run(cluster, seed):
     workers = [
         cluster.add(SensorNode(f"w{i}", seed)) for i in range(WORKERS)
     ]
-    monitor = cluster.enable_telemetry(
+    monitor = cluster.enable_monitor(
         interval_ms=None,
         include_transport=False,
         include_traces=False,
-        extra_source=QUEUE_ALERTS,
+        packs=(*DEFAULT_PACKS, QUEUE_ALERTS),
     )
     expected = 4 * WORKERS  # counter + gauge + percentile + distinct each
     for round_no in (1, 2):
         for worker in workers:
             worker.observe_round(round_no)
-            worker.publish_telemetry(clock=round_no)
+            worker.publish(clock=round_no)
         converged = cluster.run_until(
             lambda: len(monitor.samples()) == expected
             and all(
@@ -94,7 +96,9 @@ def _run(cluster, seed):
         "distincts": monitor.rollup_distincts(),
         "alarms": monitor.alarms(),
     }
-    firings = Counter(row for _ms, row in monitor.alert_log)
+    firings = Counter(
+        row for _ms, kind, row in monitor.signal_log if kind == ALARM
+    )
     cluster.shutdown()
     return state, firings
 
